@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import convergence, goldens, linalg, localgroup, matrices, scenarios, series
 from .errors import DivergenceDetected, UndefinedOperation
-from .scalars import format_rational, scalar_to_text
+from .scalars import format_rational, scalar_to_text, to_fraction
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -75,7 +75,7 @@ def _handle_spec(spec: str) -> matrices.InfiniteMatrixHandle:
     if name == "adjoint":
         if not arg:
             raise ValueError("adjoint handle needs a parameter, e.g. adjoint:1")
-        return scenarios.adjoint_handle(Fraction(arg))
+        return scenarios.adjoint_handle(to_fraction(arg))
     raise ValueError(f"unknown handle spec {spec!r}")
 
 
@@ -101,6 +101,17 @@ def _csv_ints(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _entry(text: str) -> tuple:
+    i, _, j = text.partition(",")
+    return _positive_int(i), _positive_int(j)
 
 
 def _cmd_embed(args) -> int:
@@ -162,7 +173,7 @@ def _cmd_gamma_probe(args) -> int:
     if args.handle:
         handle = _handle_spec(args.handle)
     elif args.t is not None:
-        handle = scenarios.adjoint_handle(Fraction(args.t))
+        handle = scenarios.adjoint_handle(to_fraction(args.t))
     else:
         raise ValueError("provide --handle SPEC or --t VALUE")
     verdict = linalg.gamma_probe(handle, args.n_cols, args.row_budget)
@@ -183,7 +194,7 @@ def _cmd_latent(args) -> int:
     lp = matrices.lul_decompose(g, args.n)
     if args.probe:
         report = convergence.latent_product_report(
-            lp, args.window, args.kmax, args.tail_window, Fraction(args.floor)
+            lp, args.window, args.kmax, args.tail_window, to_fraction(args.floor)
         )
         if args.json:
             print(json.dumps({"product": lp.to_json(), "report": report.to_json()}))
@@ -205,9 +216,9 @@ def _cmd_latent(args) -> int:
 def _cmd_probe(args) -> int:
     left = _handle_spec(args.left)
     right = _handle_spec(args.right)
-    i, j = _csv_ints(args.entry)
+    i, j = args.entry
     report = convergence.entry_series_probe(
-        left, right, i, j, args.kmax, args.tail_window, Fraction(args.floor)
+        left, right, i, j, args.kmax, args.tail_window, to_fraction(args.floor)
     )
     if args.json:
         print(json.dumps(report.to_json()))
@@ -224,6 +235,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_demo_circle(args) -> int:
+    if not (math.isfinite(args.y) and math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("--y must be finite and --tol finite and positive")
     m = scenarios.circle_generator_matrix(args.y, args.n, args.tol)
     dev = scenarios.diag_deviation(m, args.y)
     comp = scenarios.circle_composite_series(args.y, args.n - 1, args.tol * 1e-3)
@@ -343,7 +356,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sigmadet", help="leading-minor sequence of a handle")
     p.add_argument("--handle", required=True, help="handle spec (geometric, pascal, adjoint:t, ...)")
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_positive_int, default=5)
     p.add_argument("--pi1", help="row permutation prefix, comma separated")
     p.add_argument("--pi2", help="column permutation prefix, comma separated")
     p.add_argument("--beta", help="block injection prefix, comma separated")
@@ -353,7 +366,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gamma-probe", help="kernel probe of a handle")
     p.add_argument("--handle", help="handle spec")
     p.add_argument("--t", help="shorthand: probe the conjugated family at this rational t")
-    p.add_argument("--n-cols", type=int, default=8)
+    p.add_argument("--n-cols", type=_positive_int, default=8)
     p.add_argument("--row-budget", type=int, default=32)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gamma_probe)
@@ -363,18 +376,18 @@ def build_parser() -> _Parser:
     p.add_argument("--builtin", help="builtin series name")
     p.add_argument("--series", help="series JSON file")
     p.add_argument("--probe", action="store_true", help="probe every junction entrywise")
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=convergence.DEFAULT_K_MAX)
-    p.add_argument("--tail-window", type=int, default=convergence.DEFAULT_WINDOW)
+    p.add_argument("--window", type=_positive_int, default=4)
+    p.add_argument("--kmax", type=_positive_int, default=convergence.DEFAULT_K_MAX)
+    p.add_argument("--tail-window", type=_positive_int, default=convergence.DEFAULT_WINDOW)
     p.add_argument("--floor", default="1", help="divergence floor (rational)")
     p.set_defaults(func=_cmd_latent)
 
     p = sub.add_parser("probe", help="probe one entry of a latent product")
     p.add_argument("--left", required=True, help="left handle spec")
     p.add_argument("--right", required=True, help="right handle spec")
-    p.add_argument("--entry", required=True, help="i,j (1-based)")
-    p.add_argument("--kmax", type=int, default=convergence.DEFAULT_K_MAX)
-    p.add_argument("--tail-window", type=int, default=convergence.DEFAULT_WINDOW)
+    p.add_argument("--entry", required=True, type=_entry, help="i,j (1-based)")
+    p.add_argument("--kmax", type=_positive_int, default=convergence.DEFAULT_K_MAX)
+    p.add_argument("--tail-window", type=_positive_int, default=convergence.DEFAULT_WINDOW)
     p.add_argument("--floor", default="1")
     p.add_argument("--require-convergence", action="store_true",
                    help="exit 3 if the entry is classified divergent")

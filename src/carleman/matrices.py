@@ -3,7 +3,8 @@
 The embedding sends a transformation g to the matrix whose row i lists the
 expansion coefficients of g^(i-1) about the source of g, so that the matrix
 acts on the column of monomials: M_g u_x = u_{g(x)}. Indices are 1-based
-from the upper-left corner throughout.
+from the upper-left corner throughout. Every embedding entry, in a window or
+a handle, is read from the single power-row engine `series.PowerRows`.
 
 Finite windows are exact `TruncatedMatrix` values; lazily generated infinite
 matrices are `InfiniteMatrixHandle`s carrying a structure tag and provenance.
@@ -27,7 +28,7 @@ from .scalars import (
     scalar_to_json,
     scalar_to_text,
 )
-from .series import GroupoidElement, _pow_trunc, series_to_json
+from .series import GroupoidElement, PowerRows, series_to_json
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -200,63 +201,27 @@ def from_function(
     return InfiniteMatrixHandle(entry_fn, structure, provenance, row_cols, col_rows)
 
 
-class _CarlemanHandle(InfiniteMatrixHandle):
-    """Rows are computed lazily from memoized pointwise powers of the series."""
-
-    def __init__(self, coefficient, structure, provenance, window_limit=None):
-        super().__init__(None, structure, provenance, window_limit=window_limit)
-        self._coefficient = coefficient
-        self._powers: dict = {}
-
-    def row_cols(self, i: int):
-        # row 1 is the zeroth power (1, 0, 0, ...) for every embedding
-        if i == 1:
-            return (1,)
-        return super().row_cols(i)
-
-    def entry(self, i: int, j: int):
-        if i < 1 or j < 1:
-            raise IndexError("indices are 1-based")
-        if self.window_limit is not None and max(i, j) > self.window_limit:
-            raise InsufficientOrder(
-                f"handle is window-limited to {self.window_limit}; asked for ({i},{j})"
-            )
-        m, order = i - 1, j - 1
-        with self._lock:
-            row = self._powers.get(m)
-        if row is None or len(row) <= order:
-            coeffs = [self._coefficient(k) for k in range(order + 1)]
-            row = _pow_trunc(coeffs, m, order)
-            with self._lock:
-                kept = self._powers.get(m)
-                if kept is None or len(kept) < len(row):
-                    self._powers[m] = row
-                else:
-                    row = kept
-        return row[order]
-
-
 def carleman_handle(source) -> InfiniteMatrixHandle:
     """Embedding handle for a transformation.
 
     `source` is either a GroupoidElement (window-limited by its order) or an
     exact coefficient oracle k -> a_k (unlimited). Isotropy input (constant
-    term zero) yields an upper-triangular handle.
+    term zero) yields an upper-triangular handle. Entries are read from the
+    power rows of the series, grown as they are asked for.
     """
     if isinstance(source, GroupoidElement):
-        coeffs = source.coeffs
-
-        def coefficient(k, _c=coeffs):
-            return _c[k]
-
-        limit = source.order + 1
-        structure = "upper" if is_zero(coeffs[0]) else "general"
-        provenance = {"kind": "carleman-of", "series": series_to_json(source)}
-        return _CarlemanHandle(coefficient, structure, provenance, window_limit=limit)
-    coefficient = source
-    structure = "upper" if is_zero(coefficient(0)) else "general"
-    provenance = {"kind": "carleman-of", "series": "oracle"}
-    return _CarlemanHandle(coefficient, structure, provenance)
+        coefficient, limit = source.coeffs.__getitem__, source.order + 1
+        series = series_to_json(source)
+    else:
+        coefficient, limit, series = source, None, "oracle"
+    powers = PowerRows(coefficient)
+    return InfiniteMatrixHandle(
+        lambda i, j: powers.row(i - 1, j - 1)[j - 1],
+        "upper" if is_zero(coefficient(0)) else "general",
+        {"kind": "carleman-of", "series": series},
+        row_cols=lambda i: (1,) if i == 1 else None,  # row 1 is g^0 = (1, 0, 0, ...)
+        window_limit=limit,
+    )
 
 
 def builtin_carleman_handle(name: str) -> InfiniteMatrixHandle:
@@ -407,8 +372,7 @@ def carleman_embed(g: GroupoidElement, n: int) -> TruncatedMatrix:
         raise InsufficientOrder(
             f"carleman_embed: series order {g.order} < window order {n - 1}"
         )
-    rows = [_pow_trunc(g.coeffs, m, n - 1) for m in range(n)]
-    return matrix_from_rows(rows)
+    return carleman_handle(g).window(n)
 
 
 def translation_matrix(a, n: int) -> TruncatedMatrix:

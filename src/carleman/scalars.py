@@ -25,7 +25,10 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot read an exact rational from {value!r}")
 
 
@@ -93,7 +96,7 @@ def scalar_to_json(value):
 
 def scalar_from_json(value):
     if isinstance(value, str):
-        return Fraction(value)
+        return to_fraction(value)
     if isinstance(value, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(value, int):

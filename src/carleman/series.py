@@ -16,6 +16,7 @@ accepted where transcendental constants are unavoidable.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -132,18 +133,36 @@ def _mul_trunc(a, b, order: int):
     return out
 
 
-def _pow_trunc(coeffs, m: int, order: int):
-    """m-fold pointwise product of a coefficient sequence, truncated."""
-    result = [_F1] + [_F0] * order
-    base = list(coeffs[: order + 1])
-    k = m
-    while k:
-        if k & 1:
-            result = _mul_trunc(result, base, order)
-        k >>= 1
-        if k:
-            base = _mul_trunc(base, base, order)
-    return result
+class PowerRows:
+    """Pointwise powers g^0, g^1, ... of a coefficient oracle k -> a_k.
+
+    The one routine that builds powers of a series. Row m is row m-1 times g
+    (J.C.P. Miller's recurrence, Knuth TAOCP Vol. 2 sec. 4.7), each entry
+    summed in the order of `_mul_trunc(row, g)`. Rows gain columns only as
+    they are asked for; growth holds a lock, so readers may share an instance.
+    """
+
+    def __init__(self, coefficient: Callable[[int], object]):
+        self._coefficient = coefficient
+        self._g: list = []
+        self._rows: list = [[_F1]]
+        self._lock = threading.Lock()
+
+    def row(self, m: int, order: int) -> list:
+        """Coefficients of g^m through x^order, as a new list."""
+        width = order + 1
+        with self._lock:
+            g, rows = self._g, self._rows
+            g.extend(map(self._coefficient, range(len(g), width)))
+            rows.extend([] for _ in range(len(rows), m + 1))
+            rows[0].extend([_F0] * (width - len(rows[0])))
+            for prev, row in zip(rows, rows[1 : m + 1]):
+                for k in range(len(row), width):
+                    acc = prev[0] * g[k]
+                    for a, b in zip(prev[1 : k + 1], reversed(g[:k])):
+                        acc = acc + a * b
+                    row.append(acc)
+            return rows[m][:width]
 
 
 def _require_order(g: GroupoidElement, order: int, what: str):
@@ -151,6 +170,12 @@ def _require_order(g: GroupoidElement, order: int, what: str):
         raise InsufficientOrder(
             f"{what}: input has order {g.order}, need at least {order}"
         )
+
+
+def _deviation_rows(g: GroupoidElement, order: int) -> list:
+    """Powers 0..order of g - target through x^order; row m has valuation m."""
+    powers = PowerRows(g.deviation().__getitem__)
+    return [powers.row(m, order) for m in range(order + 1)]
 
 
 def compose(g1: GroupoidElement, g2: GroupoidElement, order: int) -> GroupoidElement:
@@ -166,12 +191,13 @@ def compose(g1: GroupoidElement, g2: GroupoidElement, order: int) -> GroupoidEle
         raise GroupoidIncompatibility(
             f"target of inner ({g2.target}) differs from source of outer ({g1.source})"
         )
-    d = g2.deviation()
-    acc = [g1.coeffs[order]] + [_F0] * order
-    for k in range(order - 1, -1, -1):
-        acc = _mul_trunc(acc, d, order)
-        acc[0] = acc[0] + g1.coeffs[k]
-    return GroupoidElement(g2.base_point, tuple(acc))
+    rows = _deviation_rows(g2, order)
+    a = g1.coeffs
+    out = (
+        sum((a[m] * rows[m][j] for m in range(1, order + 1)), a[0] * rows[0][j])
+        for j in range(order + 1)
+    )
+    return GroupoidElement(g2.base_point, tuple(out))
 
 
 def invert(g: GroupoidElement, order: int) -> GroupoidElement:
@@ -181,17 +207,13 @@ def invert(g: GroupoidElement, order: int) -> GroupoidElement:
     through the requested order; source(f) = target(g), target(f) = source(g).
     """
     _require_order(g, order, "invert")
-    d = g.deviation()
-    # powers of the deviation, truncated; d^m has valuation m
-    dpow = [None, list(d[: order + 1])]
-    for m in range(2, order + 1):
-        dpow.append(_mul_trunc(dpow[-1], d, order))
+    rows = _deviation_rows(g, order)
     c = [g.base_point]
     for j in range(1, order + 1):
         rhs = _F1 if j == 1 else _F0
         for m in range(1, j):
-            rhs = rhs - c[m] * dpow[m][j]
-        c.append(rhs / dpow[j][j])
+            rhs = rhs - c[m] * rows[m][j]
+        c.append(rhs / rows[j][j])
     return GroupoidElement(g.target, tuple(c))
 
 
@@ -200,7 +222,7 @@ def pointwise_power(g: GroupoidElement, m: int, order: int) -> tuple:
     if m < 0:
         raise ValueError("power must be nonnegative")
     _require_order(g, order, "pointwise_power")
-    return tuple(_pow_trunc(g.coeffs, m, order))
+    return tuple(PowerRows(g.coeffs.__getitem__).row(m, order))
 
 
 def rebase(g: GroupoidElement, new_base) -> GroupoidElement:
@@ -284,27 +306,19 @@ def substitute_analytic(
         raise RadiusViolation(
             f"inner constant {c!r} is not strictly inside radius {outer.radius}"
         )
-    coeffs = list(inner.coeffs[: order + 1])
-    if is_zero(c):
-        acc = [outer.coefficient(0)] + [_F0] * order
-        power = [_F1] + [_F0] * order
-        for k in range(1, order + 1):
-            power = _mul_trunc(power, coeffs, order)
-            a_k = outer.coefficient(k)
-            for j in range(order + 1):
-                acc[j] = acc[j] + a_k * power[j]
-        return tuple(acc)
-    r = sum(abs(complex(x)) for x in coeffs[1:])
-    q = float(abs_c) + r
+    exact = is_zero(c)
+    if not exact:
+        q = float(abs_c) + sum(abs(complex(x)) for x in inner.coeffs[1 : order + 1])
+    powers = PowerRows(inner.coeffs.__getitem__)
     acc = [outer.coefficient(0)] + [_F0] * order
-    power = [_F1] + [_F0] * order
-    for k in range(1, k_budget + 1):
-        power = _mul_trunc(power, coeffs, order)
+    for k in range(1, (order if exact else k_budget) + 1):
         a_k = outer.coefficient(k)
-        for j in range(order + 1):
-            acc[j] = acc[j] + a_k * power[j]
-        if outer.tail_bound(q, k) < tol:
+        for j, p in enumerate(powers.row(k, order)):
+            acc[j] = acc[j] + a_k * p
+        if not exact and outer.tail_bound(q, k) < tol:
             return tuple(acc)
+    if exact:
+        return tuple(acc)
     raise ConvergenceBudgetExceeded(
         f"tail bound still above {tol} after {k_budget} terms (q = {q:.4g})"
     )

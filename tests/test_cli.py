@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from carleman import cli, series
 from carleman.cli import EXIT_DIVERGENT, EXIT_MALFORMED, EXIT_OK, EXIT_UNDEFINED
 
@@ -223,3 +225,36 @@ class TestParser:
 
     def test_unknown_command(self, capsys):
         assert cli.dispatch(["frobnicate"]) == EXIT_MALFORMED
+
+
+MALFORMED = [
+    ("probe", "--left", "h", "--right", "translation:-1", "--entry", "0,1"),
+    ("probe", "--left", "h", "--right", "pascal", "--entry", "1,2,3"),
+    ("embed", "--builtin", "translation:1/0"),
+    ("gamma-probe", "--handle", "adjoint:1/0"),
+    ("gamma-probe", "--t", "1/0"),
+    ("latent", "--builtin", "h", "--probe", "--floor", "1/0"),
+    ("embed", "--series", "{zero_denominator}"),
+    ("demo", "circle", "--y", "nan"),
+    ("demo", "circle", "--y", "inf"),
+    ("demo", "circle", "--tol", "0"),
+    ("demo", "circle", "--tol", "-1e-9"),
+    ("gamma-probe", "--t", "1", "--n-cols", "0"),
+    ("sigmadet", "--handle", "pascal", "--count", "0"),
+    ("latent", "--builtin", "h", "--probe", "--kmax", "0"),
+    ("latent", "--builtin", "h", "--probe", "--tail-window", "-1"),
+    ("latent", "--builtin", "h", "--probe", "--window", "0"),
+    ("probe", "--left", "h", "--right", "pascal", "--entry", "2,1", "--kmax", "0"),
+    ("probe", "--left", "h", "--right", "pascal", "--entry", "2,1", "--tail-window", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_is_one_error_line(argv, tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"base_point": "0", "coeffs": ["0", "1/0", "1"]}))
+    code, out, err = run(capsys, *(a.format(zero_denominator=path) for a in argv))
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
