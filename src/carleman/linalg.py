@@ -1,8 +1,10 @@
 """Exact linear algebra: PLU, minor sequences, and kernel probes.
 
-Everything here runs over exact rationals with plain fraction arithmetic and
-canonical reduction. Pivoting is deterministic minimal-row-index, so the
-permutation produced for a given input never depends on evaluation order.
+All elimination runs through one integer-preserving (Bareiss) echelon
+routine, `_Echelon`, on rows scaled to Python ints; the only fractions built
+are the outputs. Each column's pivot is the least-index unused row with a
+nonzero reduced entry (rows are never swapped), so the permutation produced
+for a given input never depends on evaluation order.
 
 Deciding invertibility-in-the-large of a lazily generated infinite matrix
 from finite data is only semi-decidable; `gamma_probe` therefore returns a
@@ -15,13 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm, prod
 
-from .errors import (
-    DomainMismatch,
-    SingularTruncation,
-    WitnessNotFound,
-    ZeroDiagonalError,
-)
+from .errors import DomainMismatch, SingularTruncation, WitnessNotFound, ZeroDiagonalError
 from .matrices import InfiniteMatrixHandle, TruncatedMatrix, matrix_from_rows
 from .scalars import RATIONAL, format_rational
 
@@ -31,11 +30,11 @@ _F1 = Fraction(1)
 
 @dataclass(frozen=True)
 class PermutationSpec:
-    """Injective finite prefix of a permutation of N, identity beyond.
+    """Injective finite prefix of a permutation of N.
 
-    Only the prefix is ever consumed by finite-window operations; the
-    identity extension is a convention and is not consulted where it could
-    collide with prefix values.
+    Beyond the prefix the permutation runs through the positive integers
+    the prefix does not use, in increasing order; for a prefix that is
+    itself a permutation of 1..k this is the identity beyond k.
     """
 
     prefix: tuple
@@ -53,7 +52,10 @@ class PermutationSpec:
     def apply(self, i: int) -> int:
         if i <= len(self.prefix):
             return self.prefix[i - 1]
-        return i
+        j = i - len(self.prefix)
+        for p in sorted(self.prefix):
+            j += p <= j
+        return j
 
     @property
     def is_identity(self) -> bool:
@@ -135,8 +137,90 @@ def _require_rational(m: TruncatedMatrix, what: str):
         raise DomainMismatch(f"{what} requires the exact rational domain, got {m.domain}")
 
 
-def _as_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _scaled(row):
+    """(s, ints) with s the lcm of the row's denominators and ints = s * row."""
+    s = lcm(*(x.denominator for x in row))
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
+
+class _Echelon:
+    """Fraction-free (Bareiss) row echelon form with least-index pivot rows.
+
+    Row i is scaled to ints by scale[i]; rows are read only as far as the
+    pivot search needs and dropped once zero. Step k maps each other unused
+    row x with entry f in the pivot column to (x*d[k+1] - f*y) // d[k], y the
+    pivot row and d[k+1] its pivot: exact by Sylvester's identity, d[k] being
+    the k x k minor of the scaled rows on the first k pivots. A row with f = 0
+    takes its pending scale d[k] / d[j] only when next touched. rows[k] is the
+    step-k pivot row, scale * d[k] times its fraction-reduced row; mult[row][k]
+    is its f.
+    """
+
+    def __init__(self, rows, ncols: int):
+        self.pivots, self.rows, self.d, self.scale, self.mult = [], [], [1], {}, {}
+        source = enumerate(rows)
+        live = []  # [row index, ints, step j whose d[j] the ints are scaled to]
+        for c in range(ncols):
+            pivot = next((e for e in live if e[1][c]), None)
+            while pivot is None and (item := next(source, None)) is not None:
+                self.scale[item[0]], ints = _scaled(item[1])
+                e = [item[0], ints, 0]
+                if any(ints) and all(self._reduce(e, k) for k in range(len(self.pivots))):
+                    live.append(e)
+                    pivot = e if ints[c] else None
+            if pivot is not None:
+                live.remove(pivot)
+                k = len(self.pivots)
+                self._rescale(pivot, k, c)
+                self.pivots.append((pivot[0], c))
+                self.d.append(pivot[1][c])
+                self.rows.append(pivot[1])
+                live = [e for e in live if self._reduce(e, k)]
+
+    def _rescale(self, e, k: int, c: int):
+        if e[2] != k:
+            e[1][c:] = [x * self.d[k] // self.d[e[2]] for x in e[1][c:]]
+            e[2] = k
+
+    def _reduce(self, e, k: int) -> bool:
+        """Apply step k to a live row; False once the row is zero."""
+        row, c = e[1], self.pivots[k][1]
+        if not row[c]:
+            return True
+        self._rescale(e, k, c)
+        f, p, dk = row[c], self.d[k + 1], self.d[k]
+        self.mult.setdefault(e[0], {})[k] = f
+        row[c:] = [(x * p - f * y) // dk for x, y in zip(row[c:], self.rows[k][c:])]
+        e[2] = k + 1
+        return any(row)
+
+    @property
+    def full_columns(self) -> int:
+        """How many leading columns each got a pivot."""
+        return next((k for k, (_, c) in enumerate(self.pivots) if c != k), len(self.pivots))
+
+    def leading_minor(self, size: int) -> Fraction:
+        """Determinant of the leading size x size block: valid when the first
+        `size` pivots lie on the diagonal or the input was that block alone."""
+        if len(self.pivots) < size:
+            return _F0
+        order = [r for r, _ in self.pivots[:size]]
+        sign = (-1) ** sum(a > b for a, b in combinations(order, 2))
+        return Fraction(sign * self.d[size], prod(self.scale[r] for r in order))
+
+
+def _back_substitute(rows, cols, free, d: int) -> list:
+    """d times the reduced rows (pivot 1, zero in the other pivot columns) at
+    the `free` columns. rows[k] has its pivot in cols[k] and a zero in cols[j]
+    for j > k; d must make the results integers, and every division is exact."""
+    out = []
+    for row, c in zip(rows, cols):
+        xs = [d * row[f] for f in free]
+        for done, pc in zip(out, cols):
+            if row[pc]:
+                xs = [x - row[pc] * y for x, y in zip(xs, done)]
+        out.append([x // row[c] for x in xs])
+    return out
 
 
 def plu_decompose(a: TruncatedMatrix):
@@ -148,50 +232,19 @@ def plu_decompose(a: TruncatedMatrix):
     """
     _require_rational(a, "plu_decompose")
     n = a.n
-    rows = _as_fractions(a.rows)
-    avail = list(range(n))
-    piv: list[int] = []
-    mult: dict[int, dict[int, Fraction]] = {r: {} for r in range(n)}
-    for c in range(n):
-        pivot = next((r for r in avail if rows[r][c] != 0), None)
-        if pivot is None:
-            raise SingularTruncation(c + 1)
-        avail.remove(pivot)
-        piv.append(pivot)
-        step = len(piv) - 1
-        for r in avail:
-            f = rows[r][c] / rows[pivot][c]
-            mult[r][step] = f
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot])]
-    l_rows = []
-    for k, orig in enumerate(piv):
-        row = [mult[orig].get(m, _F0) for m in range(k)] + [_F1] + [_F0] * (n - k - 1)
-        l_rows.append(row)
-    u_rows = [rows[orig] for orig in piv]
-    spec = PermutationSpec(tuple(p + 1 for p in piv))
+    ech = _Echelon(a.rows, n)
+    if ech.full_columns < n:
+        raise SingularTruncation(ech.full_columns + 1)
+    order = [r for r, _ in ech.pivots]
+    s, d, f = ech.scale, ech.d, ech.mult
+    l_rows = [
+        [Fraction(f[r][m] * s[order[m]], d[m + 1] * s[r]) if m in f.get(r, ()) else _F0
+         for m in range(k)] + [_F1] + [_F0] * (n - k - 1)
+        for k, r in enumerate(order)
+    ]
+    u_rows = [[Fraction(x, s[r] * d[k]) for x in ech.rows[k]] for k, r in enumerate(order)]
+    spec = PermutationSpec(tuple(r + 1 for r in order))
     return spec, matrix_from_rows(l_rows), matrix_from_rows(u_rows)
-
-
-def _det(rows) -> Fraction:
-    """Determinant by fraction elimination with row swaps."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = _F1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return _F0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = _F1 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
 
 
 def _handle_entry(m, i: int, j: int) -> Fraction:
@@ -209,54 +262,36 @@ def sigma_determinants(
     count: int = 1,
 ) -> list:
     """Minor sequence: determinant of the beta(k) x beta(k) submatrix picked
-    by the row permutation pi1 and column permutation pi2, for k = 1..count."""
+    by the row permutation pi1 and column permutation pi2, for k = 1..count.
+    The pivots of one elimination are the minors up to the first zero one."""
     pi1 = pi1 or PermutationSpec.identity()
     pi2 = pi2 or PermutationSpec.identity()
     beta = beta or BlockInjection.identity()
-    out = []
-    for k in range(1, count + 1):
-        size = beta.apply(k)
-        rows = [
-            [_handle_entry(m, pi1.apply(i), pi2.apply(j)) for j in range(1, size + 1)]
-            for i in range(1, size + 1)
-        ]
-        out.append(_det(rows))
-    return out
+    sizes = [beta.apply(k) for k in range(1, count + 1)]
+    n = max(sizes, default=0)
+    cols = [pi2.apply(j) for j in range(1, n + 1)]
+    rows = [[_handle_entry(m, pi1.apply(i), j) for j in cols] for i in range(1, n + 1)]
+    ech = _Echelon(rows, n)
+    diagonal = next((k for k, p in enumerate(ech.pivots) if p != (k, k)), len(ech.pivots))
+    blocks = (ech if k <= diagonal else _Echelon([r[:k] for r in rows[:k]], k) for k in sizes)
+    return [block.leading_minor(k) for block, k in zip(blocks, sizes)]
 
 
-def find_pivot_rows(
-    m: InfiniteMatrixHandle, n: int, row_budget: int
-) -> PermutationSpec:
+def find_pivot_rows(m: InfiniteMatrixHandle, n: int, row_budget: int) -> PermutationSpec:
     """Greedy pivot-row search making all n leading minors nonzero.
 
     For each column in order, picks the least-index unused row within the
-    budget whose reduced entry in that column is nonzero. The returned
-    prefix is re-verified by recomputing the minors before returning.
+    budget whose reduced entry in that column is nonzero (the row order of a
+    least-index PLU of the row_budget x n block). The returned prefix is
+    re-verified by recomputing the minors before returning.
     """
     if row_budget < n:
         raise ValueError("row budget must be at least the number of columns")
-    chosen: list[int] = []
-    used: set[int] = set()
-    pivot_rows: list[list[Fraction]] = []
-    for c in range(n):
-        found = None
-        for r in range(1, row_budget + 1):
-            if r in used:
-                continue
-            v = [_handle_entry(m, r, j) for j in range(1, n + 1)]
-            for k, p in enumerate(pivot_rows):
-                if v[k]:
-                    f = v[k] / p[k]
-                    v = [x - f * y for x, y in zip(v, p)]
-            if v[c] != 0:
-                found = (r, v)
-                break
-        if found is None:
-            raise WitnessNotFound(c + 1, row_budget)
-        used.add(found[0])
-        chosen.append(found[0])
-        pivot_rows.append(found[1])
-    spec = PermutationSpec(tuple(chosen))
+    rows = ([_handle_entry(m, r, j) for j in range(1, n + 1)] for r in range(1, row_budget + 1))
+    ech = _Echelon(rows, n)
+    if ech.full_columns < n:
+        raise WitnessNotFound(ech.full_columns + 1, row_budget)
+    spec = PermutationSpec(tuple(r + 1 for r, _ in ech.pivots))
     minors = sigma_determinants(m, pi1=spec, count=n)
     if any(d == 0 for d in minors):
         raise WitnessNotFound(minors.index(_F0) + 1, row_budget)
@@ -293,39 +328,20 @@ class GammaVerdict:
 
 
 def _kernel_rect(rows, ncols):
-    """Kernel basis of a rectangular system by reduced row echelon form.
-
-    Basis vectors are normalized so the leading entry is 1.
+    """Kernel basis of a rectangular system from its reduced row echelon form,
+    scaled so every pivot is the last Bareiss pivot d: free column fc gives d
+    at fc and the negated fc entries at the pivot columns, normalized to lead 1.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = _F1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [_F0] * ncols
-        v[fc] = _F1
-        for pr, pc in pivots:
-            v[pc] = -m[pr][fc]
-        basis.append(FiniteSupportVector.from_dense(v).normalized())
-    return basis
+    ech = _Echelon(rows, ncols)
+    cols = [c for _, c in reversed(ech.pivots)]
+    free = sorted(set(range(ncols)) - set(cols))
+    solved = _back_substitute(ech.rows[::-1], cols, free, ech.d[-1])
+    return [
+        FiniteSupportVector.from_dict(
+            {fc + 1: ech.d[-1], **{pc + 1: -xs[i] for pc, xs in zip(cols, solved)}}
+        ).normalized()
+        for i, fc in enumerate(free)
+    ]
 
 
 def _probe_side(m: InfiniteMatrixHandle, n_cols: int, row_budget: int, transpose: bool):
@@ -338,14 +354,10 @@ def _probe_side(m: InfiniteMatrixHandle, n_cols: int, row_budget: int, transpose
     else:
         row_set = list(range(1, row_budget + 1))
         certified = False
-    if transpose:
-        rows = [
-            [_handle_entry(m, j, r) for j in range(1, n_cols + 1)] for r in row_set
-        ]
-    else:
-        rows = [
-            [_handle_entry(m, r, j) for j in range(1, n_cols + 1)] for r in row_set
-        ]
+    rows = [
+        [_handle_entry(m, *((j, r) if transpose else (r, j))) for j in range(1, n_cols + 1)]
+        for r in row_set
+    ]
     basis = _kernel_rect(rows, n_cols)
     return basis, certified, len(row_set)
 
@@ -381,17 +393,9 @@ def gamma_probe(m: InfiniteMatrixHandle, n_cols: int, row_budget: int) -> GammaV
         if basis:
             vector = basis[0]
             if certified:
-                return GammaVerdict(
-                    KERNEL_CERTIFIED,
-                    vector,
-                    n_cols,
-                    checked,
-                    certificate=_zero_column_certificate(m, vector, transpose),
-                    transpose=transpose,
-                )
-            return GammaVerdict(
-                KERNEL_CANDIDATE, vector, n_cols, checked, transpose=transpose
-            )
+                cert = _zero_column_certificate(m, vector, transpose)
+                return GammaVerdict(KERNEL_CERTIFIED, vector, n_cols, checked, cert, transpose)
+            return GammaVerdict(KERNEL_CANDIDATE, vector, n_cols, checked, transpose=transpose)
     return GammaVerdict(NO_OBSTRUCTION, None, n_cols, rows_checked)
 
 
@@ -406,24 +410,19 @@ def invert_triangular(a: TruncatedMatrix) -> TruncatedMatrix:
     for i in range(n):
         if a.rows[i][i] == 0:
             raise ZeroDiagonalError(f"zero diagonal entry at position {i + 1}")
-    rows = _as_fractions(a.rows)
-    inv = [[_F0] * n for _ in range(n)]
-    order = range(n) if lower else range(n - 1, -1, -1)
-    for col in range(n):
-        e = [_F1 if i == col else _F0 for i in range(n)]
-        x = [_F0] * n
-        for i in order:
-            acc = e[i]
-            if lower:
-                for k in range(i):
-                    acc -= rows[i][k] * x[k]
-            else:
-                for k in range(i + 1, n):
-                    acc -= rows[i][k] * x[k]
-            x[i] = acc / rows[i][i]
-        for i in range(n):
-            inv[i][col] = x[i]
-    return matrix_from_rows(inv)
+    # Scale rows, or columns (inverting the transpose), whichever gives the
+    # smaller determinant: it is the common denominator of the whole solve.
+    sides = [[_scaled(line) for line in lines] for lines in (a.rows, zip(*a.rows))]
+    bits = [sum(ints[i].bit_length() for i, (_, ints) in enumerate(side)) for side in sides]
+    transpose = bits[1] < bits[0]
+    scaled = sides[transpose]
+    det = abs(prod(ints[i] for i, (_, ints) in enumerate(scaled)))
+    order = range(n) if lower != transpose else range(n - 1, -1, -1)
+    rows = [scaled[i][1] + [scaled[i][0] if j == i else 0 for j in range(n)] for i in order]
+    inv = [None] * n
+    for i, xs in zip(order, _back_substitute(rows, order, range(n, 2 * n), det)):
+        inv[i] = [Fraction(x, det) for x in xs]
+    return matrix_from_rows(list(zip(*inv)) if transpose else inv)
 
 
 def kernel_basis(a: TruncatedMatrix) -> list:

@@ -124,6 +124,22 @@ def elimination_det(rows):
     return det
 
 
+def elimination_rank(rows):
+    """Rank by (independent) rational elimination with row swaps."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def rand_fraction(rng, lo=-5, hi=5, max_den=4):
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 

@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from carleman import cli, series
 from carleman.cli import EXIT_DIVERGENT, EXIT_MALFORMED, EXIT_OK, EXIT_UNDEFINED
+from carleman.scalars import format_rational
+from oracles import laplace_det
 
 
 def run(capsys, *argv):
@@ -106,6 +110,15 @@ class TestSigmaDet:
         )
         assert code == EXIT_OK
         assert out.split() == ["1", "-1"]
+
+
+    def test_open_prefix_continues_with_unused_rows(self, capsys):
+        # --pi1 3 reads rows 3, 1, 2, 4 of the Pascal matrix C(i-1, j-1)
+        rows = [[F(comb(i - 1, j - 1)) for j in range(1, 5)] for i in (3, 1, 2, 4)]
+        expected = [laplace_det([r[:k] for r in rows[:k]]) for k in range(1, 5)]
+        code, out, _ = run(capsys, "sigmadet", "--handle", "pascal", "--count", "4", "--pi1", "3")
+        assert code == EXIT_OK
+        assert out.split() == [format_rational(d) for d in expected] == ["1", "-2", "1", "1"]
 
 
 class TestGammaProbe:
@@ -258,3 +271,64 @@ def test_malformed_input_is_one_error_line(argv, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Exact stdout of the elimination commands, recorded before the fraction-free
+# core replaced the fraction loops; the matrix needs a row swap at column 1 and
+# a reduced zero at column 2, and `expm1 --pi1 2,1` has a vanishing first minor.
+PLU_MATRIX = {
+    "n": 4,
+    "domain": "rational",
+    "rows": [
+        ["0", "0", "1", "2/3"],
+        ["3/2", "2", "3", "-4"],
+        ["2", "8/3", "1/3", "5/7"],
+        ["1/3", "1", "-1/2", "1"],
+    ],
+}
+
+PINNED = [
+    (
+        ("plu", "--matrix", "{matrix}"),
+        "P prefix: 2 4 1 3\nL:\n  1  0      0  0\n2/9  1      0  0\n  0  0      1  0\n"
+        "4/3  0  -11/3  1\nU:\n3/2    2     3      -4\n  0  5/9  -7/6    17/9\n"
+        "  0    0     1     2/3\n  0    0     0  535/63\n",
+    ),
+    (
+        ("plu", "--matrix", "{matrix}", "--json"),
+        '{"permutation": [2, 4, 1, 3], "L": {"n": 4, "domain": "rational", '
+        '"truncation_exact": true, "rows": [["1", "0", "0", "0"], ["2/9", "1", "0", "0"], '
+        '["0", "0", "1", "0"], ["4/3", "0", "-11/3", "1"]]}, "U": {"n": 4, '
+        '"domain": "rational", "truncation_exact": true, "rows": [["3/2", "2", "3", "-4"], '
+        '["0", "5/9", "-7/6", "17/9"], ["0", "0", "1", "2/3"], ["0", "0", "0", "535/63"]]}}\n',
+    ),
+    (("sigmadet", "--handle", "geometric"), "1 -1 -1 1 1\n"),
+    (("sigmadet", "--handle", "ln1p"), "1 1 1 1 1\n"),
+    (("sigmadet", "--handle", "adjoint:1/2"), "1/2 1/2 1/2 1/2 1/2\n"),
+    (("sigmadet", "--handle", "pascal", "--count", "2", "--pi1", "2,1", "--beta", "1,3"), "1 -1\n"),
+    (("sigmadet", "--handle", "h", "--count", "6", "--json"),
+     '{"determinants": ["1", "-1", "-1", "1", "1", "-1"]}\n'),
+    (("sigmadet", "--handle", "expm1", "--count", "6", "--pi1", "2,1"), "0 -1 -1 -1 -1 -1\n"),
+    (("sigmadet", "--handle", "geometric", "--count", "7", "--pi1", "3,1,2", "--pi2", "2,1"),
+     "-2 -2 1 -1 -1 1 1\n"),
+    (("gamma-probe", "--t", "1"),
+     "KERNEL-CERTIFIED  vector {'1': '1'}  certificate zero-column  rows_checked 8\n"),
+    (("gamma-probe", "--t", "1/2", "--json"),
+     '{"verdict": "NO-OBSTRUCTION", "rows_checked": 32, "n_cols": 8}\n'),
+    (("gamma-probe", "--handle", "pascal"), "NO-OBSTRUCTION  rows_checked 32\n"),
+    (("gamma-probe", "--handle", "ln1p", "--n-cols", "5", "--json"),
+     '{"verdict": "NO-OBSTRUCTION", "rows_checked": 32, "n_cols": 5}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_elimination_stdout_is_pinned(argv, expected, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(PLU_MATRIX))
+    code, out, err = run(capsys, *(a.format(matrix=path) for a in argv))
+    assert (code, out, err) == (EXIT_OK, expected, "")
+
+
+def test_exhausted_block_injection_is_one_error_line(capsys):
+    code, out, err = run(capsys, "sigmadet", "--handle", "pascal", "--pi1", "2,1", "--beta", "1,3")
+    assert (code, out, err) == (EXIT_MALFORMED, "", "error: block injection prefix exhausted\n")

@@ -295,6 +295,16 @@ class TestSpecs:
         spec = cl.PermutationSpec((3, 1, 2))
         assert spec.apply(2) == 1 and spec.apply(9) == 9
 
+    def test_permutation_continues_with_unused_integers(self):
+        # the prefix (3,) is the permutation 3, 1, 2, 4, 5, ...
+        spec = cl.PermutationSpec((3,))
+        assert [spec.apply(i) for i in range(1, 6)] == [3, 1, 2, 4, 5]
+        assert [list(r) for r in spec.matrix(3).rows] == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        pascal = cl.translation_handle(F(1))
+        rows = [[pascal.entry(i, j) for j in range(1, 5)] for i in (3, 1, 2, 4)]
+        expected = [laplace_det([r[:k] for r in rows[:k]]) for k in range(1, 5)]
+        assert cl.sigma_determinants(pascal, pi1=spec, count=4) == expected == [1, -2, 1, 1]
+
     def test_block_injection_validation(self):
         with pytest.raises(ValueError):
             cl.BlockInjection((2, 2))
