@@ -135,7 +135,10 @@ def _cmd_invert(args) -> int:
 
 def _cmd_plu(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
-        a = matrices.matrix_from_json(json.load(fh))
+        try:
+            a = matrices.matrix_from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{args.matrix}: {exc}") from None
     p, l, u = linalg.plu_decompose(a)
     if args.json:
         print(

@@ -62,9 +62,10 @@ class PermutationSpec:
         return all(p == i + 1 for i, p in enumerate(self.prefix))
 
     def matrix(self, n: int) -> TruncatedMatrix:
-        rows = [[_F0] * n for _ in range(n)]
-        for j in range(1, n + 1):
-            rows[self.apply(j) - 1][j - 1] = _F1
+        images = [self.apply(j) for j in range(1, n + 1)]
+        if max(images, default=0) > n:
+            raise ValueError(f"prefix entry {max(images)} does not fit a {n} x {n} matrix")
+        rows = [[_F1 if p == i else _F0 for p in images] for i in range(1, n + 1)]
         return matrix_from_rows(rows)
 
 

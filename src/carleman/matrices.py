@@ -8,16 +8,21 @@ a handle, is read from the single power-row engine `series.PowerRows`.
 
 Finite windows are exact `TruncatedMatrix` values; lazily generated infinite
 matrices are `InfiniteMatrixHandle`s carrying a structure tag and provenance.
-A product of two windows is truncation-exact only when the left factor is
-lower triangular or the right factor is upper triangular; anything else is
+The structure tag describes the infinite matrix, so it is declared by the
+producer (a handle stamps its own tag on every window it cuts) and never
+inferred from a window. A product of two windows is truncation-exact only
+when the left factor is declared lower triangular or the right factor is
+declared upper triangular, and both factors are exact; anything else is
 flagged, and genuinely infinite products belong in a `LatentProduct`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .errors import InsufficientOrder, UndefinedOperation
 from .scalars import (
@@ -25,6 +30,7 @@ from .scalars import (
     infer_domain,
     is_zero,
     join_domains,
+    scalar_from_json,
     scalar_to_json,
     scalar_to_text,
 )
@@ -36,12 +42,18 @@ _F1 = Fraction(1)
 
 @dataclass(frozen=True)
 class TruncatedMatrix:
-    """Finite square window over a single scalar domain."""
+    """Finite square window over a single scalar domain.
+
+    `structure` tags the infinite matrix the window was cut from, as declared
+    by its producer ("general" if undeclared), never inferred from entries;
+    the `is_*_triangular` tests describe only the finite window itself.
+    """
 
     n: int
     rows: tuple
     domain: str
     truncation_exact: bool = True
+    structure: str = "general"
 
     def entry(self, i: int, j: int):
         return self.rows[i - 1][j - 1]
@@ -68,7 +80,7 @@ def identity_matrix(n: int) -> TruncatedMatrix:
     rows = tuple(
         tuple(_F1 if i == j else _F0 for j in range(n)) for i in range(n)
     )
-    return TruncatedMatrix(n, rows, RATIONAL)
+    return TruncatedMatrix(n, rows, RATIONAL, structure="diagonal")
 
 
 def _coerce_cell(value, domain):
@@ -87,13 +99,21 @@ def matrix_to_json(m: TruncatedMatrix) -> dict:
     }
 
 
-def matrix_from_json(data: dict) -> TruncatedMatrix:
-    from .scalars import scalar_from_json
-
+def _cell_from_json(value, i: int, j: int):
     try:
-        rows = [[scalar_from_json(x) for x in row] for row in data["rows"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+        return scalar_from_json(value)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"matrix cell ({i}, {j}): {exc}") from None
+
+
+def matrix_from_json(data: dict) -> TruncatedMatrix:
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError("malformed matrix JSON: rows must be a list of lists")
+    rows = [
+        [_cell_from_json(x, i, j) for j, x in enumerate(row, 1)]
+        for i, row in enumerate(rows, 1)
+    ]
     m = matrix_from_rows(rows, data.get("truncation_exact", True))
     if "n" in data and data["n"] != m.n:
         raise ValueError("matrix JSON size field disagrees with rows")
@@ -178,21 +198,9 @@ class InfiniteMatrixHandle:
         return None
 
     def window(self, n: int) -> TruncatedMatrix:
+        """The n x n window, declaring this handle's structure tag."""
         rows = [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        return matrix_from_rows(rows)
-
-    def check_structure(self, n: int) -> bool:
-        """Spot-check the structure tag on an n x n window."""
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                v = self.entry(i, j)
-                if self.structure in LOWER_TAGS and j > i and not is_zero(v):
-                    return False
-                if self.structure in UPPER_TAGS and i > j and not is_zero(v):
-                    return False
-                if self.structure == "lower-unipotent" and i == j and v != 1:
-                    return False
-        return True
+        return replace(matrix_from_rows(rows), structure=self.structure)
 
 
 def from_function(
@@ -400,7 +408,8 @@ PERFORMED = "performed"
 LATENT = "latent"
 
 
-def _performed_allowed(left: InfiniteMatrixHandle, right: InfiniteMatrixHandle) -> bool:
+def _performed_allowed(left, right) -> bool:
+    """The one exactness rule for a product of two declared structures."""
     return left.structure in LOWER_TAGS or right.structure in UPPER_TAGS
 
 
@@ -459,55 +468,37 @@ def lul_decompose(g: GroupoidElement, n: int) -> LatentProduct:
     return LatentProduct(factors, (PERFORMED, LATENT))
 
 
-def _window_rows(value, n: int):
+def _window(value, n: int) -> TruncatedMatrix:
     if isinstance(value, InfiniteMatrixHandle):
-        return value.window(n).rows, value.structure
+        return value.window(n)
     if isinstance(value, TruncatedMatrix):
         if value.n < n:
             raise InsufficientOrder(f"matrix window {value.n} smaller than {n}")
-        rows = tuple(row[:n] for row in value.rows[:n])
-        if value.is_lower_triangular():
-            structure = "lower"
-        elif value.is_upper_triangular():
-            structure = "upper"
-        else:
-            structure = "general"
-        if not value.truncation_exact:
-            structure = structure + "/approximate"
-        return rows, structure
+        return value
     raise TypeError("expected a TruncatedMatrix or InfiniteMatrixHandle")
 
 
 def truncated_multiply(a, b, n: int) -> TruncatedMatrix:
-    """Exact n x n product when the structural condition holds, else flagged.
+    """Exact n x n product when the declared structure allows it, else flagged.
 
     The window product equals the true product window iff the left factor is
-    lower triangular or the right factor is upper triangular; otherwise the
-    result carries truncation_exact=False.
+    lower triangular or the right factor is upper triangular, as declared by
+    the factors' producers; otherwise, or when either factor is itself
+    flagged, the result carries truncation_exact=False.
     """
-    rows_a, struct_a = _window_rows(a, n)
-    rows_b, struct_b = _window_rows(b, n)
+    a, b = _window(a, n), _window(b, n)
+    rows_a = [row[:n] for row in a.rows[:n]]
+    rows_b = [row[:n] for row in b.rows[:n]]
     domain = join_domains(
         infer_domain(x for r in rows_a for x in r),
         infer_domain(x for r in rows_b for x in r),
     )
-    inputs_exact = not (struct_a.endswith("/approximate") or struct_b.endswith("/approximate"))
-    struct_a = struct_a.removesuffix("/approximate")
-    struct_b = struct_b.removesuffix("/approximate")
-    structural = struct_a in LOWER_TAGS or struct_b in UPPER_TAGS
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = rows_a[i][k] * rows_b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(row)
-    exact = structural and inputs_exact
+    # each entry is summed over k in order, the first term as accumulator
+    cols_b = tuple(zip(*rows_b))
+    rows = tuple(tuple(reduce(add, map(mul, row, col)) for col in cols_b) for row in rows_a)
+    exact = _performed_allowed(a, b) and a.truncation_exact and b.truncation_exact
     return TruncatedMatrix(
-        n, tuple(tuple(r) for r in rows), domain, truncation_exact=exact
+        n, rows, domain, exact, _combine_structure(a.structure, b.structure)
     )
 
 

@@ -137,8 +137,9 @@ class PowerRows:
     """Pointwise powers g^0, g^1, ... of a coefficient oracle k -> a_k.
 
     The one routine that builds powers of a series. Row m is row m-1 times g
-    (J.C.P. Miller's recurrence, Knuth TAOCP Vol. 2 sec. 4.7), each entry
-    summed in the order of `_mul_trunc(row, g)`. Rows gain columns only as
+    (plain repeated multiplication; J.C.P. Miller's recurrence, Knuth TAOCP
+    Vol. 2 sec. 4.7, would build g^m from its own earlier coefficients), each
+    entry summed in the order of `_mul_trunc(row, g)`. Rows gain columns only as
     they are asked for; growth holds a lock, so readers may share an instance.
     """
 

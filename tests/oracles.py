@@ -150,3 +150,17 @@ def rand_isotropy_coeffs(rng, order, lo=-5, hi=5, max_den=4):
     while a1 == 0:
         a1 = rand_fraction(rng, lo, hi, max_den)
     return [F0, a1] + [rand_fraction(rng, lo, hi, max_den) for _ in range(order - 1)]
+
+
+def check_structure(window):
+    """True when a window's declared structure tag holds on its entries."""
+    tag = window.structure
+    for i, row in enumerate(window.rows):
+        for j, v in enumerate(row):
+            if j > i and tag in ("lower", "lower-unipotent", "diagonal") and v != 0:
+                return False
+            if i > j and tag in ("upper", "diagonal") and v != 0:
+                return False
+            if i == j and tag == "lower-unipotent" and v != 1:
+                return False
+    return True

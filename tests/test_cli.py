@@ -259,23 +259,53 @@ MALFORMED = [
     ("latent", "--builtin", "h", "--probe", "--window", "0"),
     ("probe", "--left", "h", "--right", "pascal", "--entry", "2,1", "--kmax", "0"),
     ("probe", "--left", "h", "--right", "pascal", "--entry", "2,1", "--tail-window", "0"),
+    ("plu", "--matrix", "{complex_cell}"),
+    ("plu", "--matrix", "{string_rows}"),
 ]
+
+MALFORMED_FILES = {
+    "zero_denominator": {"base_point": "0", "coeffs": ["0", "1/0", "1"]},
+    "complex_cell": {"rows": [["1", "1+2j"], ["0", "1"]]},
+    "string_rows": {"rows": "ab"},
+}
+
+
+def write_files(tmp_path, contents):
+    paths = {}
+    for name, data in contents.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    return paths
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_is_one_error_line(argv, tmp_path, capsys):
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps({"base_point": "0", "coeffs": ["0", "1/0", "1"]}))
-    code, out, err = run(capsys, *(a.format(zero_denominator=path) for a in argv))
+    paths = write_files(tmp_path, MALFORMED_FILES)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
+def test_malformed_matrix_file_names_the_file_and_the_cell(tmp_path, capsys):
+    paths = write_files(tmp_path, MALFORMED_FILES)
+    _, _, err = run(capsys, "plu", "--matrix", str(paths["complex_cell"]))
+    assert err == (
+        f"error: {paths['complex_cell']}: matrix cell (1, 2): "
+        "Invalid literal for Fraction: '1+2j'\n"
+    )
+    _, _, err = run(capsys, "plu", "--matrix", str(paths["string_rows"]))
+    assert err == (
+        f"error: {paths['string_rows']}: malformed matrix JSON: rows must be a list of lists\n"
+    )
+
+
 # Exact stdout of the elimination commands, recorded before the fraction-free
 # core replaced the fraction loops; the matrix needs a row swap at column 1 and
 # a reduced zero at column 2, and `expm1 --pi1 2,1` has a vanishing first minor.
+# The embed, latent and circle commands were recorded before matrix structure
+# became declared by each window's producer; `latent` prints structure tags.
 PLU_MATRIX = {
     "n": 4,
     "domain": "rational",
@@ -286,6 +316,9 @@ PLU_MATRIX = {
         ["1/3", "1", "-1/2", "1"],
     ],
 }
+
+# a series whose constant term is not 0, so its embedding is declared general
+SHIFTED_SERIES = {"base_point": "1/2", "coeffs": ["3/4", "2", "-1/3", "5/7", "0", "1", "-2"]}
 
 PINNED = [
     (
@@ -318,6 +351,68 @@ PINNED = [
     (("gamma-probe", "--handle", "pascal"), "NO-OBSTRUCTION  rows_checked 32\n"),
     (("gamma-probe", "--handle", "ln1p", "--n-cols", "5", "--json"),
      '{"verdict": "NO-OBSTRUCTION", "rows_checked": 32, "n_cols": 5}\n'),
+    (
+        ("embed", "--series", "{series}", "--n", "6", "--json"),
+        '{"n": 6, "domain": "rational", "truncation_exact": true, "rows": [["1", "0", '
+        '"0", "0", "0", "0"], ["3/4", "2", "-1/3", "5/7", "0", "1"], ["9/16", "3", '
+        '"7/2", "-11/42", "187/63", "43/42"], ["27/64", "27/8", "135/16", "695/112", '
+        '"75/28", "473/48"], ["81/256", "27/8", "207/16", "2319/112", "785/56", '
+        '"5755/336"], ["243/1024", "405/128", "4185/256", "72585/1792", "11205/224", '
+        '"78019/1792"]]}\n'
+    ),
+    (
+        ("embed", "--builtin", "translation:3/2", "--n", "5"),
+        '    1     0     0  0  0\n'
+        '  3/2     1     0  0  0\n'
+        '  9/4     3     1  0  0\n'
+        ' 27/8  27/4   9/2  1  0\n'
+        '81/16  27/2  27/2  6  1\n'
+    ),
+    (
+        ("latent", "--builtin", "geometric", "--n", "6"),
+        "factor 1: lower-unipotent  {'kind': 'translation', 'a': '1'}\n"
+        '  -- junction 1: performed\n'
+        "factor 2: upper  {'kind': 'carleman-of', 'series': {'base_point': '0', "
+        "'coeffs': ['0', '-1', '1', '-1', '1', '-1']}}\n"
+        '  -- junction 2: latent\n'
+        "factor 3: diagonal  {'kind': 'translation', 'a': '0'}\n"
+    ),
+    (
+        ("demo", "circle"),
+        'certified embedding of z -> z e^(i 0.5) at n = 8\n'
+        '           +1+0j                      +0+0j                      '
+        '+0+0j                      +0+0j                      '
+        '+0+0j                      +0+0j                      '
+        '+0+0j                      +0+0j\n'
+        ' +0-5.55112e-17j        +0.877583+0.479426j  -1.14729e-16-7.90446e-16j  '
+        '-2.67535e-17+1.25324e-15j   +1.12176e-16-1.2235e-15j   '
+        '-5.53036e-17+7.4023e-16j    +2.9677e-18-2.5435e-16j  '
+        '+1.46066e-18+3.73657e-17j\n'
+        ' -3.08149e-33-0j  +5.32269e-17-9.74312e-17j        +0.540302+0.841471j  '
+        '+5.56551e-16-1.49737e-15j  -1.24863e-15+2.17399e-15j  '
+        '+1.37004e-15-2.03989e-15j   -8.06838e-16+1.2462e-15j   '
+        '+2.49092e-16-4.4358e-16j\n'
+        ' -0+1.71057e-49j  -8.11278e-33-4.43203e-33j  +1.40133e-16-8.99784e-17j       '
+        '+0.0707372+0.997495j  +1.80945e-15-1.57086e-15j  -3.20706e-15+1.96385e-15j  '
+        '+3.27045e-15-1.70001e-15j  -1.95829e-15+1.06024e-15j\n'
+        ' +9.49557e-66+0j  -3.28036e-49+6.00466e-49j  -9.98961e-33-1.55579e-32j  '
+        '+2.21488e-16-1.57068e-17j        -0.416147+0.909297j   '
+        '+3.1214e-15-6.81423e-16j  -5.00797e-15+2.47856e-16j   '
+        '+4.91349e-15+1.0139e-16j\n'
+        '  +0-5.2711e-82j  +4.16657e-65+2.27621e-65j  -1.43939e-48+9.24225e-49j  '
+        '-2.17976e-33-3.07377e-32j  +2.52381e-16+1.15504e-16j        '
+        '-0.801144+0.598472j  +3.83247e-15+1.12309e-15j  -5.64217e-15-2.72929e-15j\n'
+        ' -2.92605e-98-0j  +1.51626e-81-2.77549e-81j  +7.69572e-65+1.19854e-64j  '
+        '-3.41257e-48+2.42002e-49j  +1.92353e-32-4.20298e-32j  '
+        '+1.99331e-16+2.66834e-16j         -0.989992+0.14112j  '
+        '+3.38985e-15+3.38759e-15j\n'
+        '-0+1.62428e-114j  -1.79749e-97-9.81975e-98j   +9.3145e-81-5.98077e-81j  '
+        '+2.35091e-65+3.31512e-64j  -5.44396e-48-2.49147e-48j   '
+        '+5.1843e-32-3.87279e-32j  +5.48361e-17+3.84689e-16j        '
+        '-0.936457-0.350783j\n'
+        'max deviation from the scaling diagonal: 6.268e-15 (tol 1e-09)\n'
+        'raw truncated-product route deviation: 9.148e+04 (truncation-approximate)\n'
+    ),
 ]
 
 
@@ -325,7 +420,9 @@ PINNED = [
 def test_elimination_stdout_is_pinned(argv, expected, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(PLU_MATRIX))
-    code, out, err = run(capsys, *(a.format(matrix=path) for a in argv))
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(json.dumps(SHIFTED_SERIES))
+    code, out, err = run(capsys, *(a.format(matrix=path, series=shifted) for a in argv))
     assert (code, out, err) == (EXIT_OK, expected, "")
 
 

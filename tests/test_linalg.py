@@ -305,6 +305,11 @@ class TestSpecs:
         expected = [laplace_det([r[:k] for r in rows[:k]]) for k in range(1, 5)]
         assert cl.sigma_determinants(pascal, pi1=spec, count=4) == expected == [1, -2, 1, 1]
 
+    def test_permutation_matrix_too_small_for_the_prefix(self):
+        with pytest.raises(ValueError, match=r"prefix entry 3 does not fit a 2 x 2 matrix"):
+            cl.PermutationSpec((3,)).matrix(2)
+        assert [list(r) for r in cl.PermutationSpec((2, 1, 5)).matrix(2).rows] == [[0, 1], [1, 0]]
+
     def test_block_injection_validation(self):
         with pytest.raises(ValueError):
             cl.BlockInjection((2, 2))

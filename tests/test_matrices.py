@@ -2,11 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import carleman as cl
 from carleman.errors import DomainMismatch, InsufficientOrder, UndefinedOperation
 from carleman.polynomials import Poly
-from oracles import mat_eq, mat_mul, poly_eval, poly_pow, rand_fraction, rand_isotropy_coeffs
+from oracles import (
+    check_structure,
+    mat_eq,
+    mat_mul,
+    poly_eval,
+    poly_pow,
+    rand_fraction,
+    rand_isotropy_coeffs,
+)
 
 
 class TestEmbed:
@@ -103,6 +113,22 @@ class TestMultiply:
         again = cl.truncated_multiply(cl.translation_matrix(F(1), 6), approx, 6)
         assert not again.truncation_exact
 
+    def test_hidden_coefficient_is_not_exact(self):
+        # g = x + x^4: its 4 x 4 window is the identity, but the infinite
+        # matrix is only upper triangular, so (M_g T_1)(2,1) = 1 + 1 = 2 is
+        # not the window product's 1
+        g = cl.make_series(F(0), [F(0), F(1), F(0), F(0), F(1)])
+        prod = cl.truncated_multiply(cl.carleman_embed(g, 4), cl.translation_matrix(F(1), 4), 4)
+        assert prod.rows[1][0] == 1 and not prod.truncation_exact
+
+    def test_product_declares_combined_structure(self):
+        t = cl.translation_matrix(F(2), 5)
+        upper = cl.carleman_embed(cl.builtin_series("h", 4), 5)
+        assert cl.truncated_multiply(t, t, 5).structure == "lower-unipotent"
+        assert cl.truncated_multiply(upper, upper, 5).structure == "upper"
+        assert cl.truncated_multiply(t, upper, 5).structure == "general"
+        assert cl.truncated_multiply(cl.identity_matrix(5), upper, 5).structure == "upper"
+
     def test_domain_mismatch(self):
         t = Poly.variable("t", ("t",))
         poly_mat = cl.matrix_from_rows([[t, Poly.constant(0, ("t",))], [Poly.constant(0, ("t",)), t]])
@@ -113,9 +139,13 @@ class TestMultiply:
 
 class TestHandles:
     def test_structure_soundness(self):
-        assert cl.translation_handle(F(1)).check_structure(8)
-        assert cl.builtin_carleman_handle("h").check_structure(8)
-        assert cl.builtin_carleman_handle("expm1").check_structure(8)
+        for handle in (
+            cl.translation_handle(F(1)),
+            cl.builtin_carleman_handle("h"),
+            cl.builtin_carleman_handle("expm1"),
+        ):
+            window = handle.window(8)
+            assert window.structure == handle.structure and check_structure(window)
 
     def test_memoized_entries_are_stable(self):
         handle = cl.builtin_carleman_handle("geometric")
@@ -150,6 +180,68 @@ class TestHandles:
         assert handle.entry(3, 3) == 1 and handle.entry(2, 3) == 0
         assert handle.col_rows(1) == (2,)
         assert handle.col_rows(5) == (5,)
+
+
+class TestDeclaredStructure:
+    def test_producers_declare_their_tags(self):
+        iso = cl.make_series(F(0), [F(0), F(2), F(1)])
+        shifted = cl.make_series(F(0), [F(1), F(2), F(1)])
+        assert cl.carleman_embed(iso, 3).structure == "upper"
+        assert cl.carleman_embed(shifted, 3).structure == "general"
+        assert cl.translation_matrix(F(3), 4).structure == "lower-unipotent"
+        assert cl.translation_matrix(F(0), 4).structure == "diagonal"
+        assert cl.identity_matrix(4).structure == "diagonal"
+
+    def test_triangular_rows_declare_nothing(self):
+        rows = [[F(1), F(0)], [F(2), F(1)]]
+        assert cl.matrix_from_rows(rows).structure == "general"
+        data = {"rows": [["1", "0"], ["2", "1"]]}
+        assert cl.matrix_from_json(data).structure == "general"
+        assert "structure" not in cl.matrix_to_json(cl.translation_matrix(F(1), 2))
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def producers(draw):
+    """A window producer: the embedding of a polynomial of degree <= 4
+    (isotropy or not), a translation, or the identity."""
+    kind = draw(st.sampled_from(("carleman", "translation", "identity")))
+    if kind == "carleman":
+        degree = draw(st.integers(min_value=1, max_value=4))
+        a0 = F(0) if draw(st.booleans()) else draw(small)
+        rest = draw(st.lists(small, min_size=degree - 1, max_size=degree - 1))
+        return kind, [a0, draw(small.filter(bool))] + rest
+    return kind, draw(small)
+
+
+def produce(producer, n):
+    kind, arg = producer
+    if kind == "carleman":
+        return cl.carleman_embed(cl.make_series(F(0), arg + [F(0)] * (n - 1)), n)
+    if kind == "translation":
+        return cl.translation_matrix(arg, n)
+    return cl.identity_matrix(n)
+
+
+@given(producers(), st.integers(min_value=1, max_value=6))
+def test_declared_structure_holds_on_every_window(producer, n):
+    assert check_structure(produce(producer, n))
+
+
+@given(producers(), producers(), st.integers(min_value=1, max_value=6))
+def test_a_product_flagged_exact_is_a_window_of_the_true_product(left, right, n):
+    product = cl.truncated_multiply(produce(left, n), produce(right, n), n)
+    if product.truncation_exact:
+        # rows 1..n of the left factor vanish past column (n-1)d+1, so every
+        # sum of the product's top-left n x n block is complete at that size
+        degree = len(left[1]) - 1 if left[0] == "carleman" else 1
+        big = (n - 1) * degree + 1
+        full = mat_mul(
+            [list(r) for r in produce(left, big).rows], [list(r) for r in produce(right, big).rows]
+        )
+        assert mat_eq(product.rows, [r[:n] for r in full[:n]])
 
 
 class TestLatentDecomposition:
