@@ -1,8 +1,9 @@
 """Command-line front end. Thin wrappers only; no computation lives here.
 
 Exit codes: 0 success, 1 malformed input, 2 undefined operation (source and
-target mismatch, undefined local product, out-of-arc angle, ...), 3
-divergence detected where convergence was required.
+target mismatch, undefined local product, out-of-arc angle, a tolerance the
+term budget cannot meet, ...), 3 divergence detected where convergence was
+required.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -435,7 +437,16 @@ def dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`) after taking what it wanted; that
+        # outranks what the command went on to find. Point stdout at devnull so
+        # the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except DivergenceDetected as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT

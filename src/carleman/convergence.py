@@ -2,13 +2,15 @@
 
 Whether an entry's infinite sum converges is undecidable from finitely many
 exact terms, so the probe is an explicitly heuristic classifier with an
-honest "inconclusive" outcome. The only finitely certifiable facts are:
+honest "inconclusive" outcome. Its verdicts:
 
-* finite-exact - structure tags bound the support, the sum is a finite
-  exact computation;
-* divergent-terms-dont-vanish - every term magnitude in the trailing
-  window stays at or above the floor (or grows across it), violating the
-  necessary condition for convergence.
+* finite-exact - certified: structure tags bound the support, the sum is a
+  finite exact computation;
+* divergent-terms-dont-vanish - a heuristic: every term magnitude in the
+  trailing window stays at or above the floor (or grows across it). That
+  suggests, but cannot prove, that the terms do not tend to zero; the sum of
+  40^k / k! (expm1 against translation:40 at entry (2,1)) converges, yet its
+  terms only start to fall near k = 40 and it gets this verdict.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ class DivergenceDetected(Exception):
     """Divergence was detected where convergence was required."""
 
 
-class ConvergenceBudgetExceeded(DivergenceDetected):
+class ConvergenceBudgetExceeded(UndefinedOperation):
     """The analytic tail bound could not be met within the term budget."""
 
 
@@ -53,7 +53,7 @@ class DomainMismatch(TypeError):
 
 
 class SingularPath(UndefinedOperation):
-    """A lifted segment passes through (or too close to) the puncture."""
+    """A lifted segment passes through the puncture."""
 
 
 class UndefinedProduct(UndefinedOperation):

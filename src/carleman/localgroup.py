@@ -2,102 +2,95 @@
 
 Points of the plane act on each other by translation; removing the point
 sigma = (-1, 0) and passing to the universal cover turns this into a local
-group whose elements carry, besides their base point, the accumulated
-continuous argument of (z - sigma) along the path that produced them. The
-integer sheet index is that winding measured against the straight reference
-path from the identity.
+group. An element is a base point z and an integer sheet, the sheets cut
+along the ray {y = 0, x < -1}; y = 0 counts as the upper side, where atan2
+gives pi. The continuous argument theta of z - sigma is derived from both:
+the principal atan2 plus 2 pi times the sheet. The sheet is exact: a float
+is a dyadic rational, so a segment's signed crossing of the cut and its
+passage through the puncture are decided on Fraction values. Only a float
+angle handed to CoveredPoint is rounded to a sheet, within ANGLE_TOL. The
+sheet index of an element is its sheet minus the straight lift's sheet.
 
 Product convention: the product of xbar and ybar lifts the RIGHT factor's
 canonical straight path, translated to start at the base of xbar. The right
-factor must itself be straight-representable (its stored angle must agree
-with its straight lift); lifting arbitrary path histories is excluded from
-the domain because translation moves the puncture and changes homotopy
-classes. That restriction is exactly the locality of the local group.
+factor must itself be straight-representable (its sheet must agree with its
+straight lift); lifting arbitrary path histories is excluded from the domain
+because translation moves the puncture and changes homotopy classes. That
+restriction is exactly the locality of the local group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import (
-    ReferencePathError,
-    SingularPath,
-    UndefinedInverse,
-    UndefinedProduct,
-)
+from .errors import ReferencePathError, SingularPath, UndefinedInverse, UndefinedProduct
 
 SINGULAR_POINT = (-1.0, 0.0)
-CLEARANCE = 1e-9
 ANGLE_TOL = 1e-6 * 2 * math.pi
-MAX_STEP = math.pi / 4
-_MAX_DEPTH = 60
+_SIGMA = tuple(map(Fraction, SINGULAR_POINT))
 
 
-@dataclass(frozen=True)
+def _offset(z) -> tuple:
+    """z - sigma, exactly."""
+    return (Fraction(z[0]) - _SIGMA[0], Fraction(z[1]) - _SIGMA[1])
+
+
+def _principal(z) -> float:
+    """atan2 of z - sigma; adding 0.0 turns y = -0.0 into +0.0, so the cut reads pi."""
+    return math.atan2(z[1] - SINGULAR_POINT[1] + 0.0, z[0] - SINGULAR_POINT[0])
+
+
+@dataclass(frozen=True, init=False)
 class CoveredPoint:
-    """Point of the punctured plane plus accumulated argument around sigma."""
+    """Point of the punctured plane on an integer sheet of the cover."""
 
     z: tuple
-    theta: float
+    _sheet: int
 
-    def __post_init__(self):
-        if _dist_point(self.z, SINGULAR_POINT) <= CLEARANCE:
+    def __init__(self, z, theta: float):
+        if _offset(z) == (0, 0):
             raise ValueError("point coincides with the puncture")
-        straight = math.atan2(self.z[1] - SINGULAR_POINT[1], self.z[0] - SINGULAR_POINT[0])
-        residue = (self.theta - straight) % (2 * math.pi)
-        if min(residue, 2 * math.pi - residue) > ANGLE_TOL:
+        turn = theta - _principal(z)
+        residue = math.remainder(turn, 2 * math.pi)  # ValueError for an infinite turn
+        if not abs(residue) <= ANGLE_TOL:  # written so that NaN fails too
             raise ValueError("stored angle is inconsistent with the base point")
+        _place(self, z, round((turn - residue) / (2 * math.pi)))
+
+    @property
+    def theta(self) -> float:
+        """Continuous argument of z - sigma on this sheet."""
+        return _principal(self.z) + 2 * math.pi * self._sheet
+
+
+def _place(point: CoveredPoint, z, sheet: int) -> CoveredPoint:
+    object.__setattr__(point, "z", z)
+    object.__setattr__(point, "_sheet", sheet)
+    return point
 
 
 def identity_element() -> CoveredPoint:
     return CoveredPoint((0.0, 0.0), 0.0)
 
 
-def _dist_point(p, q) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def _segment_clearance(p, q) -> float:
-    """Distance from the puncture to the segment [p, q]."""
-    sx, sy = SINGULAR_POINT
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    norm_sq = dx * dx + dy * dy
-    if norm_sq == 0.0:
-        return _dist_point(p, SINGULAR_POINT)
-    t = ((sx - p[0]) * dx + (sy - p[1]) * dy) / norm_sq
-    t = max(0.0, min(1.0, t))
-    return _dist_point((p[0] + t * dx, p[1] + t * dy), SINGULAR_POINT)
-
-
-def _turn(p, q) -> float:
-    """Signed angle from (p - sigma) to (q - sigma), in (-pi, pi]."""
-    ax, ay = p[0] - SINGULAR_POINT[0], p[1] - SINGULAR_POINT[1]
-    bx, by = q[0] - SINGULAR_POINT[0], q[1] - SINGULAR_POINT[1]
-    return math.atan2(ax * by - ay * bx, ax * bx + ay * by)
-
-
-def _segment_angle(p, q, depth: int = 0) -> float:
-    """Continuous argument change along [p, q], bisecting to steps <= pi/4."""
-    step = _turn(p, q)
-    if abs(step) <= MAX_STEP:
-        return step
-    if depth >= _MAX_DEPTH:
-        raise SingularPath("angle subdivision failed to converge")
-    mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-    return _segment_angle(p, mid, depth + 1) + _segment_angle(mid, q, depth + 1)
-
-
 def lift_segment(start: CoveredPoint, target) -> CoveredPoint:
-    """Continue the stored angle along the straight segment to the target."""
+    """Carry the sheet along the straight segment: +1 down across the cut, -1 up."""
     target = (float(target[0]), float(target[1]))
     if target == start.z:
         return start
-    if _segment_clearance(start.z, target) <= CLEARANCE:
+    (ax, ay), (bx, by) = _offset(start.z), _offset(target)
+    cross = ax * by - ay * bx
+    if cross == 0 and ax * bx + ay * by <= 0:
         raise SingularPath(
             f"segment from {start.z} to {target} passes through the puncture"
         )
-    return CoveredPoint(target, start.theta + _segment_angle(start.z, target))
+    sheet = start._sheet
+    # A segment that changes side meets y = 0 at x = sigma_x - cross / (ay - by);
+    # left of sigma, that point lies on the cut.
+    if (ay >= 0) != (by >= 0) and cross / (ay - by) > 0:
+        sheet += 1 if by < 0 else -1
+    return _place(object.__new__(CoveredPoint), target, sheet)
 
 
 def _straight_lift(target) -> CoveredPoint:
@@ -108,12 +101,11 @@ def _straight_lift(target) -> CoveredPoint:
 
 
 def is_straight_representable(p: CoveredPoint) -> bool:
-    """True when the stored angle agrees with the straight lift from the identity."""
+    """True when p lies on the sheet of the straight lift from the identity."""
     try:
-        ref = _straight_lift(p.z)
+        return _straight_lift(p.z)._sheet == p._sheet
     except ReferencePathError:
         return False
-    return abs(ref.theta - p.theta) <= ANGLE_TOL
 
 
 def local_product(x: CoveredPoint, y: CoveredPoint) -> CoveredPoint:
@@ -146,19 +138,14 @@ def local_inverse(x: CoveredPoint) -> CoveredPoint:
         round_trip = local_product(y, x)
     except UndefinedProduct as exc:
         raise UndefinedInverse(str(exc)) from exc
-    if _dist_point(round_trip.z, (0.0, 0.0)) > 1e-9 or abs(round_trip.theta) > 1e-9:
+    if round_trip != identity_element():
         raise UndefinedInverse("round trip failed to return to the identity")
     return y
 
 
 def sheet_index(x: CoveredPoint) -> int:
     """Winding count of x against its straight reference path."""
-    ref = _straight_lift(x.z)
-    k = (x.theta - ref.theta) / (2 * math.pi)
-    nearest = round(k)
-    if abs(k - nearest) * 2 * math.pi > 4 * ANGLE_TOL:
-        raise ValueError("stored angle is not an integer number of sheets away")
-    return int(nearest)
+    return x._sheet - _straight_lift(x.z)._sheet
 
 
 @dataclass(frozen=True)
@@ -201,16 +188,12 @@ def associativity_demo() -> AssociativityReport:
     end at the same base point (the origin) but on different sheets.
     """
     a, b, c = (-2.0, 1.0), (0.0, -2.0), (2.0, 1.0)
-    abar = _straight_lift(a)
-    bbar = _straight_lift(b)
-    cbar = _straight_lift(c)
+    abar, bbar, cbar = map(_straight_lift, (a, b, c))
     left = local_product(local_product(abar, bbar), cbar)
     right = local_product(abar, local_product(bbar, cbar))
-    e = identity_element()
-    walk = lift_segment(e, a)
-    walk = lift_segment(walk, (a[0] + b[0], a[1] + b[1]))
-    walk = lift_segment(walk, (0.0, 0.0))
-    winding = round(walk.theta / (2 * math.pi))
+    walk = identity_element()
+    for corner in (a, (a[0] + b[0], a[1] + b[1]), (0.0, 0.0)):
+        walk = lift_segment(walk, corner)
     return AssociativityReport(
-        a, b, c, left, right, sheet_index(left), sheet_index(right), int(winding)
+        a, b, c, left, right, sheet_index(left), sheet_index(right), walk._sheet
     )

@@ -27,7 +27,7 @@ from .errors import (
     InsufficientOrder,
     RadiusViolation,
 )
-from .scalars import infer_domain, is_zero, scalar_from_json, scalar_to_json, to_fraction
+from .scalars import is_zero, scalar_from_json, scalar_to_json, to_fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -57,10 +57,6 @@ class GroupoidElement:
     @property
     def target(self):
         return self.coeffs[0]
-
-    @property
-    def domain(self) -> str:
-        return infer_domain((self.base_point, *self.coeffs))
 
     def evaluate(self, z):
         """Value of the truncated polynomial at z (Horner, exact in Q)."""
@@ -321,7 +317,7 @@ def substitute_analytic(
     if exact:
         return tuple(acc)
     raise ConvergenceBudgetExceeded(
-        f"tail bound still above {tol} after {k_budget} terms (q = {q:.4g})"
+        f"tolerance {tol} not met within the {k_budget}-term budget (q = {q:.4g})"
     )
 
 

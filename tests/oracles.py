@@ -5,6 +5,7 @@ determinants, the closed-form inversion series) and shares no code with the
 library paths it checks.
 """
 
+import math
 from fractions import Fraction
 
 F0 = Fraction(0)
@@ -164,3 +165,24 @@ def check_structure(window):
             if i == j and tag == "lower-unipotent" and v != 1:
                 return False
     return True
+
+
+def on_segment(point, p, q):
+    """True when the integer point lies on the closed segment [p, q]."""
+    collinear = (q[0] - p[0]) * (point[1] - p[1]) == (q[1] - p[1]) * (point[0] - p[0])
+    return collinear and all(min(a, b) <= c <= max(a, b) for a, b, c in zip(p, q, point))
+
+
+def float_winding(polygon, center):
+    """Winding number of a closed polygon about center, from summed float turns.
+
+    Each edge that misses center turns (p - center) into (q - center) by an
+    angle of size below pi, which atan2 of their cross and dot products gives;
+    the turns of a closed path sum to 2 pi times its winding number.
+    """
+    total = 0.0
+    for p, q in zip(polygon, polygon[1:] + polygon[:1]):
+        ax, ay = p[0] - center[0], p[1] - center[1]
+        bx, by = q[0] - center[0], q[1] - center[1]
+        total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
+    return round(total / (2 * math.pi))

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,48 @@ def test_malformed_input_is_one_error_line(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# an operation asked for outside its domain: exit 2 and one line naming why
+UNDEFINED = [
+    (("compose", "h", "geometric", "--n", "6"), "differs from source"),
+    (("demo", "circle", "--y", "1.2"), "outside the certified arc"),
+    (("demo", "circle", "--y", "1e-320", "--tol", "1e-300"), "200-term budget"),
+]
+
+
+@pytest.mark.parametrize("argv,reason", UNDEFINED, ids=[" ".join(a) for a, _ in UNDEFINED])
+def test_undefined_operation_is_one_line_exit_2(argv, reason, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_UNDEFINED, "")
+    assert err.startswith("undefined operation: ") and err.count("\n") == 1
+    assert reason in err
+
+
+CLOSED_STDOUT = [
+    ("embed", "--builtin", "geometric", "--n", "6"),
+    # prints its report, then fails the convergence requirement
+    ("probe", "--left", "h", "--right", "inverse-pascal", "--entry", "2,1", "--require-convergence"),
+]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_STDOUT, ids=lambda argv: argv[0])
+def test_closed_stdout_exits_0_silently(argv, unbuffered):
+    # the reader's end is closed before the command starts, so its first
+    # write to stdout (or the flush of its buffered output) meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "carleman.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+
 def test_malformed_matrix_file_names_the_file_and_the_cell(tmp_path, capsys):
     paths = write_files(tmp_path, MALFORMED_FILES)
     _, _, err = run(capsys, "plu", "--matrix", str(paths["complex_cell"]))
@@ -306,6 +352,7 @@ def test_malformed_matrix_file_names_the_file_and_the_cell(tmp_path, capsys):
 # a reduced zero at column 2, and `expm1 --pi1 2,1` has a vanishing first minor.
 # The embed, latent and circle commands were recorded before matrix structure
 # became declared by each window's producer; `latent` prints structure tags.
+# The olver rows were recorded while sheets still came from float angle sums.
 PLU_MATRIX = {
     "n": 4,
     "domain": "rational",
@@ -412,6 +459,19 @@ PINNED = [
         '-0.936457-0.350783j\n'
         'max deviation from the scaling diagonal: 6.268e-15 (tol 1e-09)\n'
         'raw truncated-product route deviation: 9.148e+04 (truncation-approximate)\n'
+    ),
+    (
+        ("demo", "olver"),
+        'triangle a (-2.0, 1.0), b (0.0, -2.0), c (2.0, 1.0); winding around the puncture: 1\n'
+        '(a b) c : base (0.0, 0.0), theta 2.0000 pi, sheet 1\n'
+        'a (b c) : base (0.0, 0.0), theta 0.0000 pi, sheet 0\n'
+        'global associativity broken: sheets 1 vs 0\n'
+    ),
+    (
+        ("demo", "olver", "--json"),
+        '{"a": [-2.0, 1.0], "b": [0.0, -2.0], "c": [2.0, 1.0], "left_base": [0.0, 0.0], '
+        '"right_base": [0.0, 0.0], "left_theta_over_pi": 2.0, "right_theta_over_pi": 0.0, '
+        '"sheet_left": 1, "sheet_right": 0, "triangle_winding": 1, "broken": true}\n'
     ),
 ]
 

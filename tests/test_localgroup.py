@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from carleman import localgroup as lg
 from carleman.errors import (
@@ -9,6 +11,7 @@ from carleman.errors import (
     UndefinedInverse,
     UndefinedProduct,
 )
+from oracles import float_winding, on_segment
 
 
 def lifted(x, y):
@@ -43,6 +46,43 @@ class TestLiftSegment:
         for target in path[1:]:
             point = lg.lift_segment(point, target)
         assert point.theta - start_theta == pytest.approx(2 * math.pi, abs=1e-9)
+
+
+class TestExactSheets:
+    def test_point_next_to_the_puncture_is_valid(self):
+        p = lg.CoveredPoint((-1.0, 1e-10), math.pi / 2)
+        assert p.theta == math.pi / 2
+        assert lg.sheet_index(p) == 0
+
+    def test_segment_just_above_the_puncture_lifts(self):
+        p = lifted(-2.0, 2e-10)
+        assert lg.sheet_index(p) == 0
+        assert lg.is_straight_representable(p)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_angle_must_be_finite(self, theta):
+        with pytest.raises(ValueError):
+            lg.CoveredPoint((1.0, 1.0), theta)
+
+    def test_crossing_the_cut_next_to_the_puncture(self):
+        below = lg.lift_segment(lifted(-2.0, 1e-12), (-2.0, -1e-12))
+        assert lg.sheet_index(below) == 1
+        assert not lg.is_straight_representable(below)
+
+
+vertices = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+
+@given(st.lists(vertices, min_size=3, max_size=6))
+def test_closed_walk_ends_on_its_winding_sheet(polygon):
+    # from the identity to the first corner, once round the polygon, and back
+    # to the first corner: the sheet index there is the polygon's winding
+    path = [(0, 0)] + polygon + polygon[:1]
+    assume(not any(on_segment((-1, 0), p, q) for p, q in zip(path, path[1:])))
+    point = lg.identity_element()
+    for corner in path[1:]:
+        point = lg.lift_segment(point, corner)
+    assert lg.sheet_index(point) == float_winding(polygon, (-1, 0))
 
 
 class TestLocalProduct:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carleman import series as s
 from carleman.errors import (
@@ -207,6 +209,22 @@ class TestRebase:
         moved = s.rebase(g, F(0))
         for z in (F(0), F(1, 2), F(-3)):
             assert moved.evaluate(z) == g.evaluate(z)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(
+    rationals,
+    st.lists(rationals, min_size=2, max_size=8).filter(lambda c: c[1] != 0),
+    rationals,
+)
+def test_rebase_there_and_back_is_exact(p, coeffs, q):
+    g = s.make_series(p, coeffs)
+    moved = s.rebase(g, q)
+    # g(x) = sum a_k (x - p)^k with x - p = (x - q) + (q - p)
+    assert list(moved.coeffs) == poly_compose(coeffs, [q - p, F(1)])[: len(coeffs)]
+    assert s.rebase(moved, p) == g
 
 
 class TestSubstituteAnalytic:
