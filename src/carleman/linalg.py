@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
 from .errors import DomainMismatch, SingularTruncation, WitnessNotFound, ZeroDiagonalError
-from .matrices import InfiniteMatrixHandle, TruncatedMatrix, matrix_from_rows
+from .matrices import InfiniteMatrixHandle, TruncatedMatrix, _scaled, matrix_from_rows
 from .scalars import RATIONAL, format_rational
 
 _F0 = Fraction(0)
@@ -136,12 +136,6 @@ class FiniteSupportVector:
 def _require_rational(m: TruncatedMatrix, what: str):
     if m.domain != RATIONAL:
         raise DomainMismatch(f"{what} requires the exact rational domain, got {m.domain}")
-
-
-def _scaled(row):
-    """(s, ints) with s the lcm of the row's denominators and ints = s * row."""
-    s = lcm(*(x.denominator for x in row))
-    return s, [x.numerator * (s // x.denominator) for x in row]
 
 
 class _Echelon:

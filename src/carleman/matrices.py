@@ -22,14 +22,15 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import add, mul
 
 from .errors import InsufficientOrder, UndefinedOperation
 from .scalars import (
+    COMPLEX,
     RATIONAL,
     infer_domain,
     is_zero,
-    join_domains,
     scalar_from_json,
     scalar_to_json,
     scalar_to_text,
@@ -478,27 +479,44 @@ def _window(value, n: int) -> TruncatedMatrix:
     raise TypeError("expected a TruncatedMatrix or InfiniteMatrixHandle")
 
 
+def _scaled(row):
+    """(s, ints) with s the lcm of the row's denominators and ints = s * row."""
+    s = lcm(*(x.denominator for x in row))
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
+
 def truncated_multiply(a, b, n: int) -> TruncatedMatrix:
     """Exact n x n product when the declared structure allows it, else flagged.
 
-    The window product equals the true product window iff the left factor is
-    lower triangular or the right factor is upper triangular, as declared by
-    the factors' producers; otherwise, or when either factor is itself
-    flagged, the result carries truncation_exact=False.
+    Exact iff the left factor is declared lower triangular or the right one
+    upper triangular (the rule of a performed latent junction) and neither
+    factor is flagged; otherwise the result carries truncation_exact=False.
+
+    Entry (i, j) sums in k order over the band the tags allow (lower left
+    k <= i, upper left k >= i, upper right k <= j, lower right k >= j), else is
+    the domain's zero; rational windows sum ints, one scale per row and column.
     """
     a, b = _window(a, n), _window(b, n)
     rows_a = [row[:n] for row in a.rows[:n]]
-    rows_b = [row[:n] for row in b.rows[:n]]
-    domain = join_domains(
-        infer_domain(x for r in rows_a for x in r),
-        infer_domain(x for r in rows_b for x in r),
-    )
-    # each entry is summed over k in order, the first term as accumulator
-    cols_b = tuple(zip(*rows_b))
-    rows = tuple(tuple(reduce(add, map(mul, row, col)) for col in cols_b) for row in rows_a)
+    cols_b = list(zip(*(row[:n] for row in b.rows[:n])))
+    domain = infer_domain(x for vecs in (rows_a, cols_b) for v in vecs for x in v)
+    scale = _scaled if domain == RATIONAL else lambda v: (None, v)
+    rows_a, cols_b = list(map(scale, rows_a)), list(map(scale, cols_b))
+    zero = 0j if domain == COMPLEX else _F0
+    left_up, left_low = a.structure in UPPER_TAGS, a.structure in LOWER_TAGS
+    right_low, right_up = b.structure in LOWER_TAGS, b.structure in UPPER_TAGS
+    rows = []
+    for i, (da, row) in enumerate(rows_a):
+        out = []
+        for j, (db, col) in enumerate(cols_b):
+            lo = max(i if left_up else 0, j if right_low else 0)
+            hi = min(i + 1 if left_low else n, j + 1 if right_up else n)
+            s = reduce(add, map(mul, row[lo:hi], col[lo:hi])) if lo < hi else zero
+            out.append(s if da is None else Fraction(s, da * db))
+        rows.append(tuple(out))
     exact = _performed_allowed(a, b) and a.truncation_exact and b.truncation_exact
     return TruncatedMatrix(
-        n, rows, domain, exact, _combine_structure(a.structure, b.structure)
+        n, tuple(rows), domain, exact, _combine_structure(a.structure, b.structure)
     )
 
 

@@ -338,12 +338,15 @@ def series_from_json(data: dict) -> GroupoidElement:
 
 
 def parse_scalar_argument(text: str):
-    """Scalar from CLI text: 'n/d' rational or 'a+bj' complex."""
+    """Scalar from CLI text: 'n/d' rational or finite 'a+bj' complex."""
     try:
         return to_fraction(text)
     except ValueError:
         pass
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
         raise ValueError(f"cannot parse scalar {text!r}") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"scalar {text!r} is not finite")
+    return value

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carleman import cli, series
 from carleman.cli import EXIT_DIVERGENT, EXIT_MALFORMED, EXIT_OK, EXIT_UNDEFINED
@@ -489,3 +493,94 @@ def test_elimination_stdout_is_pinned(argv, expected, tmp_path, capsys):
 def test_exhausted_block_injection_is_one_error_line(capsys):
     code, out, err = run(capsys, "sigmadet", "--handle", "pascal", "--pi1", "2,1", "--beta", "1,3")
     assert (code, out, err) == (EXIT_MALFORMED, "", "error: block injection prefix exhausted\n")
+
+
+FUZZ_FILES = {
+    "series.json": json.dumps(SHIFTED_SERIES),
+    "matrix.json": json.dumps(PLU_MATRIX),
+    "cut.json": '{"rows": [["1", ',
+    "list.json": "[]",
+    "ragged.json": '{"rows": [["1", "2"], ["3"]]}',
+    "zero-den.json": '{"base_point": "0", "coeffs": ["1/0", "1"], "rows": [["1/0"]]}',
+    "types.json": '{"base_point": [], "coeffs": "x", "rows": 5, "n": "2"}',
+    "complex.json": '{"base_point": [0, 1], "coeffs": [[1, 0], [0.5, 2]], "rows": [[[1, 2]]]}',
+}
+FUZZ_SCALARS = ("1", "-1/2", "0", "3/4", "1/0", "abc", "1e400", "2j", "nan", "inf", "", "-")
+FUZZ_LISTS = ("1,2", "2,1", "3", "0,0", "-1,2", "a,b", "1,2,3", "", ",")
+FUZZ_NAMES = ("identity", "geometric", "h", "ln1p", "expm1", "pascal", "inverse-pascal", "nope")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+@st.composite
+def fuzz_argv(draw, root):
+    size = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(("x", "1.5", "")))
+    scalar = st.sampled_from(FUZZ_SCALARS)
+    path = st.sampled_from(sorted(FUZZ_FILES) + ["absent.json"]).map(lambda f: str(root / f))
+    name = st.one_of(
+        st.sampled_from(FUZZ_NAMES),
+        scalar.map("translation:{}".format),
+        scalar.map("adjoint:{}".format),
+    )
+    source = st.one_of(
+        st.tuples(st.just("--builtin"), name), st.tuples(st.just("--series"), path), st.just(())
+    )
+
+    def opt(flag, values):
+        return draw(st.one_of(st.just(()), values.map(lambda v: (flag, v))))
+
+    def switch(flag):
+        return draw(st.sampled_from(((), (flag,))))
+
+    cmd = draw(st.sampled_from((
+        "embed", "compose", "invert", "plu", "sigmadet", "gamma-probe", "latent",
+        "probe", "demo circle", "demo adjoint", "demo olver", "goldens verify",
+    )))
+    argv = cmd.split()
+    if cmd in ("embed", "invert", "latent"):
+        argv += [*draw(source), "--n", draw(size)]
+    if cmd == "compose":
+        argv += [draw(st.one_of(name, path)), draw(st.one_of(name, path)), "--n", draw(size)]
+    if cmd == "plu":
+        argv += ["--matrix", draw(path)]
+    if cmd == "sigmadet":
+        argv += ["--handle", draw(name), "--count", draw(size)]
+        for flag in ("--pi1", "--pi2", "--beta"):
+            argv += opt(flag, st.sampled_from(FUZZ_LISTS))
+    if cmd == "gamma-probe":
+        argv += [*opt("--t", scalar), *opt("--handle", name)]
+        argv += ["--n-cols", draw(size), "--row-budget", draw(size)]
+    if cmd == "latent":
+        argv += [*switch("--probe"), *opt("--window", size)]
+    if cmd in ("latent", "probe"):
+        argv += ["--kmax", draw(size), *opt("--floor", scalar)]
+    if cmd == "probe":
+        argv += ["--left", draw(name), "--right", draw(name), "--entry", draw(st.sampled_from(FUZZ_LISTS))]
+        argv += switch("--require-convergence")
+    if cmd == "demo circle":
+        argv += [*opt("--y", scalar), "--n", draw(size), *opt("--tol", scalar)]
+    if cmd == "demo adjoint":
+        argv += ["--n", draw(size)]
+    return argv + list(switch("--json"))
+
+
+@given(st.data())
+def test_fuzzed_argv_exits_with_a_code_and_at_most_one_error_line(fuzz_dir, data):
+    argv = data.draw(fuzz_argv(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.dispatch(argv)
+    assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_UNDEFINED, EXIT_DIVERGENT)
+    assert err.getvalue().count("\n") <= 1
+
+
+@pytest.mark.parametrize("amount", ["inf", "-infj", "nan", "1e400+1j"])
+def test_non_finite_amount_is_one_error_line(amount, capsys):
+    code, out, err = run(capsys, "probe", "--left", "h", "--right", f"translation:{amount}", "--entry", "2,1")
+    assert (code, out, err) == (EXIT_MALFORMED, "", f"error: scalar {amount!r} is not finite\n")

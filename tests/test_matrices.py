@@ -314,3 +314,40 @@ class TestMonomialColumn:
             tail = poly_eval(full[n:], z) * z ** n if len(full) > n else F(0)
             assert report.deviations[m] == abs(tail)
         assert report.ok and report.max_deviation < F(1, 10000)
+
+
+CELLS = (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3), F(5, 3), F(-7, 6))
+
+
+@st.composite
+def windows_of_every_producer(draw):
+    """One window of each producer at one size n <= 6. Their declared tags
+    cover upper, lower, lower-unipotent, diagonal and general."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    cells = draw(st.lists(st.sampled_from(CELLS), min_size=n * n, max_size=n * n))
+    dense = [cells[i * n : (i + 1) * n] for i in range(n)]
+    coeffs = draw(st.lists(small, min_size=n, max_size=n))
+    lead, shift = draw(small.filter(bool)), draw(small.filter(bool))
+    return (
+        cl.carleman_embed(cl.make_series(F(0), [F(0), lead] + coeffs), n),
+        cl.carleman_embed(cl.make_series(F(0), [shift, lead] + coeffs), n),
+        cl.translation_matrix(shift, n),
+        cl.translation_matrix(F(0), n),
+        cl.identity_matrix(n),
+        cl.matrix_from_rows(dense),
+        cl.explicit_handle(
+            cl.matrix_from_rows([[v if j >= i else F(0) for j, v in enumerate(r)] for i, r in enumerate(dense)])
+        ).window(n),
+        cl.explicit_handle(
+            cl.matrix_from_rows([[v if j <= i else F(0) for j, v in enumerate(r)] for i, r in enumerate(dense)])
+        ).window(n),
+    )
+
+
+@given(windows_of_every_producer())
+def test_every_product_is_the_product_of_its_windows(windows):
+    # flagged or not, every pair of declared tags, empty bands included
+    assert {w.structure for w in windows} >= {"upper", "lower", "lower-unipotent", "diagonal", "general"}
+    for a in windows:
+        for b in windows:
+            assert mat_eq(cl.truncated_multiply(a, b, a.n).rows, mat_mul(a.rows, b.rows))

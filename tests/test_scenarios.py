@@ -1,10 +1,13 @@
 import cmath
 import math
 from fractions import Fraction as F
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
 import carleman as cl
+from carleman import scenarios
 from carleman.errors import CertifiedArcError
 from carleman.linalg import KERNEL_CERTIFIED, NO_OBSTRUCTION
 from carleman.polynomials import Poly
@@ -152,3 +155,31 @@ class TestAdjointFamily:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValueError):
             cl.adjoint_family(1)
+
+
+def full_ordered_sum(a, b, n):
+    """Every entry summed over all k in order, the first term as accumulator."""
+    cols = list(zip(*(r[:n] for r in b.rows[:n])))
+    return [[reduce(add, map(mul, r[:n], c)) for c in cols] for r in a.rows[:n]]
+
+
+def test_non_rational_products_equal_the_full_ordered_sum(monkeypatch):
+    calls = []
+
+    def spy(a, b, n):
+        product = cl.truncated_multiply(a, b, n)
+        a, b = (m if isinstance(m, cl.TruncatedMatrix) else m.window(n) for m in (a, b))
+        calls.append((a, b, n, product))
+        return product
+
+    monkeypatch.setattr(scenarios, "truncated_multiply", spy)
+    for y in (0.5, -0.9, 0.01):
+        cl.circle_raw_product(y, 8)
+    cl.circle_cover_extend([0.5, 0.5, -0.3], 8)  # y = 0.5 is declared upper: empty bands
+    fam = cl.adjoint_family(6)
+    assert {p.domain for *_, p in calls} == {"complex-float", "rational"}
+    for left, right in ((fam.u_t, fam.g), (fam.g_inv, fam.u_t), (fam.u_t, fam.u_t)):
+        calls.append((left.window(6), right.window(6), 6, cl.truncated_multiply(left, right, 6)))
+    assert calls[-1][3].domain == "bipoly"
+    for a, b, n, product in calls:
+        assert [list(r) for r in product.rows] == full_ordered_sum(a, b, n)
