@@ -16,9 +16,9 @@ honest "inconclusive" outcome. Its verdicts:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .matrices import InfiniteMatrixHandle, LatentProduct, product_handle
 from .scalars import abs_magnitude, scalar_to_json
 
@@ -32,7 +32,7 @@ DEFAULT_WINDOW = 16
 DEFAULT_FLOOR = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class EntryProbeReport:
     """Evidence gathered for one entry of a latent product."""
 
@@ -120,7 +120,7 @@ def entry_series_probe(
     return EntryProbeReport((i, j), cls, None, tuple(terms), floor, k_max, window)
 
 
-@dataclass(frozen=True)
+@record
 class JunctionReport:
     """All probed entries for one junction of a latent product."""
 
@@ -138,7 +138,7 @@ class JunctionReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class LatentReport:
     window: int
     junctions: tuple

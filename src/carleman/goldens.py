@@ -9,9 +9,9 @@ suspected transcription error whenever the fixture is verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .matrices import carleman_embed
 from .series import builtin_series
 
@@ -77,7 +77,7 @@ _EXP0 = _rows(
 )
 
 
-@dataclass(frozen=True)
+@record
 class GoldenFixture:
     """Expected window, the recipe reproducing it, and any pinned corrections."""
 
@@ -117,7 +117,7 @@ FIXTURES = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class FixtureResult:
     name: str
     ok: bool

@@ -15,11 +15,11 @@ handle's structure or provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
+from ._record import record
 from .errors import DomainMismatch, SingularTruncation, WitnessNotFound, ZeroDiagonalError
 from .matrices import InfiniteMatrixHandle, TruncatedMatrix, _scaled, matrix_from_rows
 from .scalars import RATIONAL, format_rational
@@ -28,7 +28,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class PermutationSpec:
     """Injective finite prefix of a permutation of N.
 
@@ -69,7 +69,7 @@ class PermutationSpec:
         return matrix_from_rows(rows)
 
 
-@dataclass(frozen=True)
+@record
 class BlockInjection:
     """Strictly increasing finite prefix of an injection N -> N."""
 
@@ -93,7 +93,7 @@ class BlockInjection:
         return i
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSupportVector:
     """Sparse column vector: 1-based index -> nonzero rational entry."""
 
@@ -298,7 +298,7 @@ KERNEL_CANDIDATE = "KERNEL-CANDIDATE"
 KERNEL_CERTIFIED = "KERNEL-CERTIFIED"
 
 
-@dataclass(frozen=True)
+@record
 class GammaVerdict:
     """What a finite probe actually established about kernel triviality."""
 

@@ -22,9 +22,9 @@ restriction is exactly the locality of the local group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import ReferencePathError, SingularPath, UndefinedInverse, UndefinedProduct
 
 SINGULAR_POINT = (-1.0, 0.0)
@@ -42,7 +42,7 @@ def _principal(z) -> float:
     return math.atan2(z[1] - SINGULAR_POINT[1] + 0.0, z[0] - SINGULAR_POINT[0])
 
 
-@dataclass(frozen=True, init=False)
+@record
 class CoveredPoint:
     """Point of the punctured plane on an integer sheet of the cover."""
 
@@ -148,7 +148,7 @@ def sheet_index(x: CoveredPoint) -> int:
     return x._sheet - _straight_lift(x.z)._sheet
 
 
-@dataclass(frozen=True)
+@record
 class AssociativityReport:
     """Both bracketings of the triangle product and their sheet indices."""
 

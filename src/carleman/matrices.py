@@ -19,12 +19,12 @@ flagged, and genuinely infinite products belong in a `LatentProduct`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import add, mul
 
+from ._record import record
 from .errors import InsufficientOrder, UndefinedOperation
 from .scalars import (
     COMPLEX,
@@ -41,7 +41,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedMatrix:
     """Finite square window over a single scalar domain.
 
@@ -201,7 +201,8 @@ class InfiniteMatrixHandle:
     def window(self, n: int) -> TruncatedMatrix:
         """The n x n window, declaring this handle's structure tag."""
         rows = [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        return replace(matrix_from_rows(rows), structure=self.structure)
+        m = matrix_from_rows(rows)
+        return TruncatedMatrix(m.n, m.rows, m.domain, m.truncation_exact, self.structure)
 
 
 def from_function(
@@ -390,7 +391,7 @@ def translation_matrix(a, n: int) -> TruncatedMatrix:
     return translation_handle(a).window(n)
 
 
-@dataclass(frozen=True)
+@record
 class MonomialColumn:
     """Powers 1, z, z^2, ..., z^(n-1) of a sample point."""
 
@@ -414,7 +415,7 @@ def _performed_allowed(left, right) -> bool:
     return left.structure in LOWER_TAGS or right.structure in UPPER_TAGS
 
 
-@dataclass(frozen=True)
+@record
 class LatentProduct:
     """Ordered factors with per-junction performed/latent flags.
 
@@ -520,7 +521,7 @@ def truncated_multiply(a, b, n: int) -> TruncatedMatrix:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MonomialCheck:
     """Outcome of comparing M_g u_z with the powers of the truncated value."""
 

@@ -8,6 +8,7 @@ as lowest-terms "n/d" with "/1" suppressed; complex scalars serialize as
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainMismatch
@@ -94,6 +95,12 @@ def scalar_to_json(value):
     raise DomainMismatch(f"unsupported scalar type {type(value).__name__}")
 
 
+def _finite(z: complex, source) -> complex:
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"scalar {source!r} is not finite")
+    return z
+
+
 def scalar_from_json(value):
     if isinstance(value, str):
         return to_fraction(value)
@@ -102,7 +109,7 @@ def scalar_from_json(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return _finite(complex(float(value[0]), float(value[1])), value)
     raise ValueError(f"cannot read a scalar from {value!r}")
 
 

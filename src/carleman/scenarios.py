@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import CertifiedArcError
 from .matrices import (
     InfiniteMatrixHandle,
@@ -235,7 +235,7 @@ def adjoint_handle(t) -> InfiniteMatrixHandle:
     )
 
 
-@dataclass(frozen=True)
+@record
 class AdjointFamily:
     """Handles of the conjugation data, all exact in the parameter."""
 
@@ -273,7 +273,7 @@ def adjoint_family(n: int) -> AdjointFamily:
     return AdjointFamily(n, x, u_t, g, g_inv, m_t)
 
 
-@dataclass(frozen=True)
+@record
 class MuCheck:
     """Outcome of the deformed-addition identity check."""
 

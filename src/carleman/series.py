@@ -17,23 +17,23 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
+from ._record import record
 from .errors import (
     ConvergenceBudgetExceeded,
     GroupoidIncompatibility,
     InsufficientOrder,
     RadiusViolation,
 )
-from .scalars import is_zero, scalar_from_json, scalar_to_json, to_fraction
+from .scalars import _finite, is_zero, scalar_from_json, scalar_to_json, to_fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class GroupoidElement:
     """Truncated transformation with source/target bookkeeping."""
 
@@ -238,7 +238,7 @@ def rebase(g: GroupoidElement, new_base) -> GroupoidElement:
     return GroupoidElement(new_base, tuple(acc))
 
 
-@dataclass(frozen=True)
+@record
 class AnalyticCoefficientStream:
     """Entire/analytic outer function given by its exact Taylor oracle at 0."""
 
@@ -347,6 +347,4 @@ def parse_scalar_argument(text: str):
         value = complex(text)
     except ValueError:
         raise ValueError(f"cannot parse scalar {text!r}") from None
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"scalar {text!r} is not finite")
-    return value
+    return _finite(value, text)

@@ -504,6 +504,8 @@ FUZZ_FILES = {
     "zero-den.json": '{"base_point": "0", "coeffs": ["1/0", "1"], "rows": [["1/0"]]}',
     "types.json": '{"base_point": [], "coeffs": "x", "rows": 5, "n": "2"}',
     "complex.json": '{"base_point": [0, 1], "coeffs": [[1, 0], [0.5, 2]], "rows": [[[1, 2]]]}',
+    "infinite.json": '{"base_point": [Infinity, 0], "coeffs": [[Infinity, 0], [1, 0], [0, 0], [0, 0]]}',
+    "nan.json": '{"base_point": "0", "coeffs": ["0", [NaN, 0], "1"], "rows": [[[NaN, 0]]]}',
 }
 FUZZ_SCALARS = ("1", "-1/2", "0", "3/4", "1/0", "abc", "1e400", "2j", "nan", "inf", "", "-")
 FUZZ_LISTS = ("1,2", "2,1", "3", "0,0", "-1,2", "a,b", "1,2,3", "", ",")
@@ -584,3 +586,27 @@ def test_fuzzed_argv_exits_with_a_code_and_at_most_one_error_line(fuzz_dir, data
 def test_non_finite_amount_is_one_error_line(amount, capsys):
     code, out, err = run(capsys, "probe", "--left", "h", "--right", f"translation:{amount}", "--entry", "2,1")
     assert (code, out, err) == (EXIT_MALFORMED, "", f"error: scalar {amount!r} is not finite\n")
+
+
+NON_FINITE_SERIES = [
+    ("latent", "--series", "{infinite}", "--n", "4", "--probe", "--kmax", "8"),
+    ("embed", "--series", "{nan}", "--n", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_SERIES, ids=lambda argv: argv[0])
+def test_non_finite_series_file_is_one_error_line(argv, tmp_path, capsys):
+    infinite, nan = tmp_path / "infinite.json", tmp_path / "nan.json"
+    infinite.write_text(FUZZ_FILES["infinite.json"])
+    nan.write_text(FUZZ_FILES["nan.json"])
+    code, out, err = run(capsys, *(a.format(infinite=infinite, nan=nan) for a in argv))
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err.startswith("error: scalar [") and err.endswith("is not finite\n") and err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, ast and tokenize: several ms on every CLI call
+    src = str(Path(cli.__file__).parents[1])
+    code = "import carleman.cli, sys; sys.exit('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0
